@@ -409,7 +409,11 @@ def analyze_file(
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
-    """Every ``.py`` under ``paths`` (skipping hidden dirs, __pycache__)."""
+    """Every ``.py`` under ``paths`` (skipping hidden dirs, __pycache__).
+
+    Only the parts below each given path are tested, so a tree that
+    itself lives under a dot-directory is still found.
+    """
     for entry in paths:
         p = Path(entry)
         if not p.exists():
@@ -420,7 +424,7 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
         for sub in sorted(p.rglob("*.py")):
             if any(
                 part == "__pycache__" or part.startswith(".")
-                for part in sub.parts
+                for part in sub.relative_to(p).parts
             ):
                 continue
             yield sub

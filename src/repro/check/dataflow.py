@@ -1037,31 +1037,6 @@ class Dataflow:
 
     # -- transitive closures --------------------------------------------------
 
-    def transitive_calls(
-        self, module: str, summary: FunctionSummary, depth: int = 40
-    ) -> Iterator[tuple[FunctionSummary, str, int]]:
-        """Every in-project summary reachable from ``summary``'s calls,
-        with the top-level call (dotted, line) that leads there."""
-        seen: set[tuple[str | None, str]] = {(module, summary.qualname)}
-        for dotted, line, _col in summary.calls:
-            stack = [(module, summary, dotted, 0)]
-            while stack:
-                mod, src, target, d = stack.pop()
-                if d > depth:
-                    continue
-                callee = self.resolve_call(mod, src, target)
-                if callee is None:
-                    continue
-                key = (callee.module, callee.qualname)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield callee, dotted, line
-                for sub_dotted, _l, _c in callee.calls:
-                    stack.append(
-                        (callee.module, callee, sub_dotted, d + 1)
-                    )
-
     def first_blocking(
         self,
         module: str,

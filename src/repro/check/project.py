@@ -302,9 +302,6 @@ class Project:
     def imports_of(self, ctx: ModuleContext) -> ImportMap:
         return self._by_path[ctx.path].imports
 
-    def defs_of(self, ctx: ModuleContext) -> dict[str, ast.stmt]:
-        return self._by_path[ctx.path].defs
-
     # -- cross-module name resolution -----------------------------------------
 
     def resolve(self, dotted: str, _depth: int = 0) -> Resolved | None:

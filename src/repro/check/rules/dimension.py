@@ -208,22 +208,6 @@ class _Tables:
         self._constants[key] = dim
         return dim
 
-    def dataclass_fields_of_call(
-        self, ctx: ModuleContext, call: ast.Call
-    ) -> bool:
-        """Is ``call`` constructing an in-project dataclass?"""
-        func = call.func
-        if isinstance(func, ast.Name):
-            resolved = self.project.resolve_local(ctx, func.id)
-        else:
-            dotted = self.project.imports_of(ctx).resolve(func)
-            resolved = self.project.resolve(dotted) if dotted else None
-        return (
-            resolved is not None
-            and isinstance(resolved.node, ast.ClassDef)
-            and _is_dataclass(resolved.node, resolved.ctx, self.project)
-        )
-
 
 def _is_dataclass(node: ast.ClassDef, ctx: ModuleContext, project) -> bool:
     for deco in node.decorator_list:

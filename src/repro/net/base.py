@@ -22,7 +22,13 @@ from repro.hw.cluster import ClusterConfig
 
 
 class LinkModel(abc.ABC):
-    """Analytic cost model of one connection between the two nodes."""
+    """Analytic cost model of one connection between the two nodes.
+
+    A model never changes after construction, and every simulated
+    message asks it for ``occupancy(n)`` and ``latency0``; subclasses
+    therefore derive their configuration-only quantities (rates,
+    ``latency0``) once per instance with ``functools.cached_property``.
+    """
 
     def __init__(self, config: ClusterConfig):
         self.config = config

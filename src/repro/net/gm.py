@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hw.cluster import ClusterConfig
 from repro.hw.nic import NicKind
@@ -70,7 +71,7 @@ class GmModel(LinkModel):
         super().__init__(config)
         self.receive_mode = receive_mode
 
-    @property
+    @cached_property
     def latency0(self) -> float:
         nic, cfg = self.config.nic, self.config
         base = (
@@ -84,7 +85,7 @@ class GmModel(LinkModel):
             base += BLOCKING_MODE_EXTRA
         return base
 
-    @property
+    @cached_property
     def pipeline_rate(self) -> float:
         """Streaming rate: min(wire after fragment framing, PCI DMA)."""
         nic = self.config.nic
@@ -150,7 +151,7 @@ class IpOverGmModel(TcpModel):
         config = config.with_mtu(self.IP_MTU)
         super().__init__(config, tuning)
 
-    @property
+    @cached_property
     def rx_cpu_rate(self) -> float:
         host, nic = self.config.host, self.config.nic
         mss = self.framing.mss
@@ -162,7 +163,7 @@ class IpOverGmModel(TcpModel):
         )
         return mss / per_seg
 
-    @property
+    @cached_property
     def latency0(self) -> float:
         host, nic, cfg = self.config.host, self.config.nic, self.config
         return (

@@ -25,6 +25,7 @@ and raising the buffer to 512 KB "doubles the raw throughput".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.hw.cluster import ClusterConfig
 from repro.net.base import LinkModel
@@ -68,23 +69,23 @@ class TcpModel(LinkModel):
         self.framing = EthernetFraming(config.effective_mtu)
 
     # -- configuration-derived quantities -------------------------------------
-    @property
+    @cached_property
     def sockbuf(self) -> int:
         """Socket buffer the connection actually got (bytes)."""
         return self.config.sysctl.effective_bufsize(self.tuning.sockbuf_request)
 
-    @property
+    @cached_property
     def wire_rate(self) -> float:
         """Stage 1: payload rate the wire sustains (bytes/s)."""
         nic = self.config.nic
         return self.framing.payload_rate(nic.link_rate) * nic.link_efficiency
 
-    @property
+    @cached_property
     def pci_rate(self) -> float:
         """Stage 2: DMA bandwidth (bytes/s)."""
         return self.config.pci_bandwidth
 
-    @property
+    @cached_property
     def tx_cpu_rate(self) -> float:
         """Stage 3: sender CPU packetisation rate (bytes/s)."""
         host, nic = self.config.host, self.config.nic
@@ -92,7 +93,7 @@ class TcpModel(LinkModel):
         per_seg = nic.tx_per_packet_time + mss / host.memcpy_bandwidth
         return mss / per_seg
 
-    @property
+    @cached_property
     def rx_cpu_rate(self) -> float:
         """Stage 4: receiver CPU drain rate (bytes/s)."""
         host, nic = self.config.host, self.config.nic
@@ -100,12 +101,12 @@ class TcpModel(LinkModel):
         per_seg = nic.rx_per_packet_time + mss / host.memcpy_bandwidth
         return mss / per_seg
 
-    @property
+    @cached_property
     def pipeline_rate(self) -> float:
         """Streaming rate ignoring the window limit (bytes/s)."""
         return min(self.wire_rate, self.pci_rate, self.tx_cpu_rate, self.rx_cpu_rate)
 
-    @property
+    @cached_property
     def window_rate(self) -> float:
         """Stage 5: window-limited rate (bytes/s); inf when unconstrained."""
         stall = self.config.nic.ack_rtt + self.tuning.progress_stall
@@ -120,7 +121,7 @@ class TcpModel(LinkModel):
     WINDOW_GRACE_BYTES = 2048
 
     # -- LinkModel interface ----------------------------------------------------
-    @property
+    @cached_property
     def latency0(self) -> float:
         """Fixed one-way small-message latency: syscalls, per-packet
         costs, wire, interrupt and wakeup (Sec. 4's latency story)."""

@@ -25,6 +25,7 @@ but bypasses receive descriptor processing.  MVICH switches to RDMA at
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 from repro.hw.cluster import ClusterConfig
 from repro.hw.nic import NicKind
@@ -67,7 +68,7 @@ class ViaModel(LinkModel):
         self.flavor = flavor
 
     # -- latency ---------------------------------------------------------------
-    @property
+    @cached_property
     def latency0(self) -> float:
         nic, host, cfg = self.config.nic, self.config.host, self.config
         if self.flavor is ViaFlavor.HARDWARE:
@@ -89,13 +90,13 @@ class ViaModel(LinkModel):
         )
 
     # -- throughput -------------------------------------------------------------
-    @property
+    @cached_property
     def _fragment(self) -> int:
         if self.flavor is ViaFlavor.HARDWARE:
             return 64 * 1024  # cLAN segments in hardware; descriptor-sized
         return self.config.effective_mtu - SW_FRAME_HEADER
 
-    @property
+    @cached_property
     def descriptor_rate(self) -> float:
         """Send/receive-queue path: per-fragment processing included."""
         nic, host = self.config.nic, self.config.host
@@ -113,7 +114,7 @@ class ViaModel(LinkModel):
         wire *= nic.link_efficiency
         return min(host_rate, wire, self.config.pci_bandwidth)
 
-    @property
+    @cached_property
     def rdma_rate(self) -> float:
         """RDMA-write path: receiver descriptor processing bypassed."""
         nic = self.config.nic

@@ -278,13 +278,6 @@ class Recorder:
         """All spans in one category, in recording order."""
         return [s for s in self.spans if s.cat == cat]
 
-    def time_by_cat(self) -> dict[str, float]:
-        """Total span seconds per category (points contribute 0)."""
-        out: dict[str, float] = {}
-        for s in self.spans:
-            out[s.cat] = out.get(s.cat, 0.0) + s.duration
-        return out
-
     def time_span(self) -> tuple[float, float]:
         """(earliest start, latest end) across all spans; (0, 0) if empty."""
         if not self.spans:

@@ -320,20 +320,6 @@ class ServeResponse:
     cost: Mapping[str, Any] | None = None
     timing: Mapping[str, float] = field(default_factory=dict)
 
-    def with_source(self, source: str) -> "ServeResponse":
-        """The same answer relabelled (a coalesced follower's copy)."""
-        return ServeResponse(
-            query=self.query,
-            result=self.result,
-            fingerprint=self.fingerprint,
-            tier=self.tier,
-            source=source,
-            metrics=self.metrics,
-            crossover=self.crossover,
-            cost=self.cost,
-            timing=self.timing,
-        )
-
     def to_jsonable(self) -> dict[str, Any]:
         """The JSON document the front end sends back."""
         out: dict[str, Any] = {

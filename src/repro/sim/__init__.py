@@ -11,8 +11,12 @@ Design constraints that shaped it:
 * **Determinism** — same inputs, same event order, same results.  Ties in
   the event heap are broken by a monotonically increasing sequence
   number, never by object identity.
-* **Speed** — a full NetPIPE sweep schedules tens of thousands of events;
-  the hot paths (``schedule``/``step``) are plain heapq operations.
+* **Speed** — a sweep is almost all per-event engine work, so that work
+  is kept small: ``Engine.run`` fires events inline, processes resume
+  without a closure per resume, and stores match by position.  A cold
+  figure 1-5 pass (44,444 events) takes about 0.19 s of CPU, ~4 us per
+  event with the network and library layers included, on a 2-core x86
+  host with Python 3.11 (docs/PERFORMANCE.md, "Simulation kernel").
 * **Introspectability** — the engine counts events and exposes ``now`` so
   measurement code can bracket activities precisely.
 """

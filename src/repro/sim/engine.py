@@ -12,7 +12,7 @@ from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.events import Event, Timeout, AllOf, AnyOf
+from repro.sim.events import PROCESSED, Event, Timeout, AllOf, AnyOf
 
 
 class SimError(Exception):
@@ -48,7 +48,7 @@ class Engine:
 
     # The engine is instantiated per sweep and its attributes are read
     # on every event; __slots__ keeps instances small and lookups fast.
-    __slots__ = ("_now", "_heap", "_seq", "events_processed", "obs")
+    __slots__ = ("_now", "_heap", "_seq", "events_processed", "obs", "_traced")
 
     def __init__(self, obs=None) -> None:
         self._now = 0.0
@@ -60,7 +60,9 @@ class Engine:
         #: runs to one attribute check per hook site.  Attach a real
         #: Recorder at construction only — layers bind it once.
         self.obs = NULL_RECORDER if obs is None else obs
-        if self.obs.enabled and self.obs.clock is None:
+        #: ``obs.enabled`` bound once for the per-event hooks below.
+        self._traced = self.obs.enabled
+        if self._traced and self.obs.clock is None:
             self.obs.clock = lambda: self._now
 
     # -- time --------------------------------------------------------------
@@ -88,8 +90,6 @@ class Engine:
 
     def process(self, generator: Generator) -> "Process":
         """Start a new simulated process running ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     # -- scheduling ----------------------------------------------------------
@@ -108,7 +108,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (when, seq, event))
-        if self.obs.enabled:
+        if self._traced:
             self.obs.count("sim.scheduled")
 
     # -- execution ------------------------------------------------------------
@@ -119,7 +119,7 @@ class Engine:
         t, _, event = heappop(self._heap)
         self._now = t
         self.events_processed += 1
-        if self.obs.enabled:
+        if self._traced:
             self.obs.count("sim.events")
         event._fire()
 
@@ -135,14 +135,15 @@ class Engine:
         * ``until=<Event>`` — run until that event has fired; returns its
           value (re-raising its exception if it failed).
         """
-        # The loops below inline step() — one heappop and one _fire per
-        # event, with the heap bound to a local — because this is where
-        # a sweep spends nearly all of its time.  ``events_processed``
-        # is reconciled in ``finally`` so a mid-run exception (a failed
-        # process re-raising) still leaves the counter accurate.
+        # The loops below inline step() and Event._fire() — one heappop
+        # and one callback sweep per event, with the heap bound to a
+        # local — because this is where a sweep spends nearly all of its
+        # time.  ``events_processed`` is reconciled in ``finally`` so a
+        # mid-run exception (a failed process re-raising) still leaves
+        # the counter accurate.
         heap = self._heap
         processed = 0
-        if self.obs.enabled:
+        if self._traced:
             self.obs.count("sim.runs")
         if until is None:
             try:
@@ -150,16 +151,18 @@ class Engine:
                     t, _, event = heappop(heap)
                     self._now = t
                     processed += 1
-                    event._fire()
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
             finally:
-                self.events_processed += processed
-                if self.obs.enabled:
-                    self.obs.count("sim.events", processed)
+                self._count_run(processed)
             return None
         if isinstance(until, Event):
             target = until
             try:
-                while not target.processed:
+                while target._state != PROCESSED:
                     if not heap:
                         raise SimError(
                             "deadlock: event heap drained before the awaited "
@@ -169,11 +172,13 @@ class Engine:
                     t, _, event = heappop(heap)
                     self._now = t
                     processed += 1
-                    event._fire()
+                    event._state = PROCESSED
+                    callbacks = event.callbacks
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
             finally:
-                self.events_processed += processed
-                if self.obs.enabled:
-                    self.obs.count("sim.events", processed)
+                self._count_run(processed)
             if not target.ok:
                 raise target.value
             return target.value
@@ -185,10 +190,22 @@ class Engine:
                 t, _, event = heappop(heap)
                 self._now = t
                 processed += 1
-                event._fire()
+                event._state = PROCESSED
+                callbacks = event.callbacks
+                event.callbacks = []
+                for cb in callbacks:
+                    cb(event)
         finally:
-            self.events_processed += processed
-            if self.obs.enabled:
-                self.obs.count("sim.events", processed)
+            self._count_run(processed)
         self._now = max(self._now, horizon)
         return None
+
+    def _count_run(self, processed: int) -> None:
+        self.events_processed += processed
+        if self._traced:
+            self.obs.count("sim.events", processed)
+
+
+# Imported last: repro.sim.process needs Engine, Interrupt and SimError
+# from this module, and Engine.process needs Process on every call.
+from repro.sim.process import Process  # noqa: E402

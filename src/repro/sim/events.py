@@ -108,11 +108,13 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
+        # Event.__init__ inlined: one Timeout per simulated wait.
+        self.engine = engine
+        self.callbacks = []
+        self._value = value
         self._state = TRIGGERED
         self._ok = True
-        self._value = value
+        self.delay = delay
         engine._schedule(self, delay)
 
 

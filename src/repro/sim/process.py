@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.sim.engine import Engine, Interrupt, SimError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, PROCESSED, Event
 
 
 class Process(Event):
@@ -30,7 +30,12 @@ class Process(Event):
             raise TypeError(
                 f"Engine.process() needs a generator, got {type(generator).__name__}"
             )
-        super().__init__(engine)
+        # Event.__init__ inlined: one Process per message leg.
+        self.engine = engine
+        self.callbacks = []
+        self._value = None
+        self._state = PENDING
+        self._ok = True
         self.generator = generator
         self._waiting_on: Event | None = None
         self._obs_t0 = 0.0
@@ -62,30 +67,32 @@ class Process(Event):
             except ValueError:
                 pass
             self._waiting_on = None
+        # A failed kick event: _resume throws its value into the generator.
         kick = Event(self.engine)
-        kick.callbacks.append(lambda ev: self._throw(Interrupt(cause)))
-        kick.succeed(None)
+        kick.callbacks.append(self._resume)
+        kick.fail(Interrupt(cause))
 
     # -- internal ------------------------------------------------------------
+    # Resumption runs once per yielded event, so the generator is stepped
+    # inline here rather than through a helper taking a closure.
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != PENDING:
             return
         self._waiting_on = None
-        if event.ok:
-            self._advance(lambda: self.generator.send(event.value))
-        else:
-            self._advance(lambda: self.generator.throw(event.value))
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._advance(lambda: self.generator.throw(exc))
-
-    def _advance(self, step) -> None:
         try:
-            target = step()
-        except StopIteration as stop:
-            obs = self.engine.obs
+            if event._ok:
+                target = self.generator.send(event._value)
+            else:
+                target = self.generator.throw(event._value)
+        except BaseException as exc:
+            self._finish(exc)
+            return
+        self._wait_for(target)
+
+    def _finish(self, exc: BaseException) -> None:
+        """The generator returned (``StopIteration``) or raised ``exc``."""
+        obs = self.engine.obs
+        if isinstance(exc, StopIteration):
             if obs.enabled:
                 obs.count("sim.process.finished")
                 obs.record(
@@ -93,18 +100,17 @@ class Process(Event):
                     t1=self.engine.now,
                     target=getattr(self.generator, "__name__", "?"),
                 )
-            self.succeed(stop.value)
+            self.succeed(exc.value)
             return
-        except BaseException as exc:
-            obs = self.engine.obs
-            if obs.enabled:
-                obs.count("sim.process.failed")
-            # The process died; propagate through anyone waiting on it.
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                raise
-            return
+        if obs.enabled:
+            obs.count("sim.process.failed")
+        # The process died; propagate through anyone waiting on it.
+        if not self.callbacks:
+            raise exc
+        self.fail(exc)
+
+    def _wait_for(self, target: Any) -> None:
+        """Suspend until ``target`` (the value just yielded) fires."""
         if not isinstance(target, Event):
             raise SimError(
                 f"process yielded {target!r}; processes must yield Event "
@@ -113,7 +119,7 @@ class Process(Event):
             )
         if target.engine is not self.engine:
             raise SimError("process yielded an event from a different engine")
-        if target.processed:
+        if target._state == PROCESSED:
             # Already fired: resume immediately (but asynchronously, to
             # preserve deterministic ordering).
             kick = Event(self.engine)

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 
 class Request(Event):
@@ -26,7 +26,12 @@ class Request(Event):
     __slots__ = ("resource", "amount")
 
     def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.engine)
+        # Event.__init__ inlined: one Request per port acquisition.
+        self.engine = resource.engine
+        self.callbacks = []
+        self._value = None
+        self._state = PENDING
+        self._ok = True
         self.resource = resource
         self.amount = amount
 
@@ -76,11 +81,6 @@ class Resource:
             raise RuntimeError("resource released more than acquired")
         self._grant()
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._queue)
-
     def utilisation(self) -> float:
         """Fraction of elapsed simulated time at least one unit was busy."""
         self._account()
@@ -88,14 +88,15 @@ class Resource:
 
     # -- internal ------------------------------------------------------------
     def _account(self) -> None:
-        now = self.engine.now
+        now = self.engine._now
         if self.in_use > 0:
             self._busy_time += now - self._last_change
         self._last_change = now
 
     def _grant(self) -> None:
-        while self._queue and self.in_use + self._queue[0].amount <= self.capacity:
-            req = self._queue.popleft()
+        queue = self._queue
+        while queue and self.in_use + queue[0].amount <= self.capacity:
+            req = queue.popleft()
             self._account()
             self.in_use += req.amount
             req.succeed(req)
@@ -148,22 +149,29 @@ class Store:
     # -- internal ------------------------------------------------------------
     def _match(self) -> None:
         # Pair waiting getters with queued items, respecting FIFO order on
-        # both sides but honouring filters.
-        progress = True
-        while progress and self._getters and self._items:
-            progress = False
-            for getter in list(self._getters):
-                chosen = None
-                for item in self._items:
-                    if getter.filter is None or getter.filter(item):
-                        chosen = item
-                        break
-                if chosen is not None:
-                    self._items.remove(chosen)
-                    self._getters.remove(getter)
-                    getter.succeed(chosen)
-                    progress = True
+        # both sides but honouring filters.  Matches are removed by
+        # position, so the getter receives exactly the queued object its
+        # filter accepted (never a value-equal twin) and no item is
+        # compared by value.
+        items, getters = self._items, self._getters
+        while getters and items:
+            for g, getter in enumerate(getters):
+                accept = getter.filter
+                if accept is None:
+                    i = 0
                     break
+                for i, item in enumerate(items):
+                    if accept(item):
+                        break
+                else:
+                    continue
+                break
+            else:
+                return
+            item = items[i]
+            del items[i]
+            del getters[g]
+            getter.succeed(item)
 
 
 class PriorityStore(Store):

@@ -2,12 +2,14 @@
 
 import ast
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.check.analyzer import analyze_project, analyze_paths
 from repro.check.project import AstCache, Project, ast_cache_salt, file_digest
+from repro.verify.universe import build_models
 
 pytestmark = pytest.mark.check
 
@@ -146,3 +148,20 @@ def test_readonly_cache_dir_degrades_to_parsing(tmp_path):
     cache = AstCache(blocked / "nested")  # parent is a file: mkdir fails
     project = Project.from_paths([f], cache=cache)
     assert project.stats.parsed == 1  # no crash, no hit
+
+
+def test_tree_under_a_hidden_directory_is_still_found(tmp_path):
+    # Only the parts below a given path count as hidden: a checkout
+    # under a dot-directory must still be checked and model-compiled.
+    mplib = tmp_path / ".hidden" / "checkout" / "repro" / "mplib"
+    shutil.copytree(SRC / "repro" / "mplib", mplib,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (mplib / ".scratch").mkdir()
+    (mplib / ".scratch" / "skipped.py").write_text("x = 1\n")
+
+    # The copy is found file for file; the dot-directory inside it is not.
+    expected = sorted(p.name for p in (SRC / "repro" / "mplib").glob("*.py"))
+    project = Project.from_paths([mplib])
+    assert sorted(Path(p).name for p in project.digest_by_path) == expected
+    assert analyze_paths([mplib]) == []
+    assert set(build_models([mplib])) == set(build_models()) != set()
