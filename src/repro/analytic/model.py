@@ -46,11 +46,12 @@ event engine as the oracle.
 
 from __future__ import annotations
 
-import weakref
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.analytic.memo import PairMemo
 from repro.core.results import NetPipeResult
 from repro.core.sizes import netpipe_sizes
 from repro.hw.cluster import ClusterConfig
@@ -197,30 +198,24 @@ def _compile(
     )
 
 
-#: Compiled predictors, weak-keyed on the (library, config) object
-#: pair.  Compiling re-derives every link rate (each a min over
+#: Compiled predictors, keyed by the identity of the (library, config)
+#: object pair.  Compiling re-derives every link rate (each a min over
 #: subrates read from the spec tree), which costs as much as several
 #: curve evaluations; tier routing predicts for the same spec objects
-#: on every call.  Weak keys keep the memo sound — an entry is only
+#: on every call.  Identity keys keep the memo sound — an entry is only
 #: reachable while the very objects it was compiled from are alive, and
-#: the spec dataclasses are immutable by construction.
-_PREDICTORS: "weakref.WeakKeyDictionary[MPLibrary, weakref.WeakKeyDictionary[ClusterConfig, Callable[[np.ndarray], np.ndarray]]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: equal-comparing configs never share one (see
+#: :mod:`repro.analytic.memo`).
+_PREDICTORS: "PairMemo[Callable[[np.ndarray], np.ndarray]]" = PairMemo()
 
 
 def _predictor(
     library: MPLibrary, config: ClusterConfig
 ) -> Callable[[np.ndarray], np.ndarray]:
-    per_lib = _PREDICTORS.get(library)
-    if per_lib is not None:
-        fn = per_lib.get(config)
-        if fn is not None:
-            return fn
-    fn = _compile(library, config)
-    if per_lib is None:
-        per_lib = _PREDICTORS[library] = weakref.WeakKeyDictionary()
-    per_lib[config] = fn
+    fn = _PREDICTORS.get(library, config)
+    if fn is None:
+        fn = _compile(library, config)
+        _PREDICTORS.put(library, config, fn)
     return fn
 
 
@@ -246,6 +241,16 @@ def predict_oneway_times(
     return _predictor(library, config)(n)
 
 
+@lru_cache(maxsize=1)
+def _default_schedule() -> tuple[tuple[int, ...], np.ndarray]:
+    """The default NetPIPE schedule as native ints and as the read-only
+    float array the predictors take — built once, not per curve."""
+    sizes = tuple(netpipe_sizes())
+    n = np.array(sizes, dtype=np.float64)
+    n.setflags(write=False)
+    return sizes, n
+
+
 def predict_sweep(
     library: MPLibrary,
     config: ClusterConfig,
@@ -269,8 +274,12 @@ def predict_sweep(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if sizes is None:
-        sizes = netpipe_sizes()
-    times = predict_oneway_times(library, config, sizes)
+        # Known valid: skip predict_oneway_times' conversion and checks.
+        int_sizes, n = _default_schedule()
+        times = _predictor(library, config)(n)
+    else:
+        int_sizes = list(map(int, sizes))
+        times = predict_oneway_times(library, config, sizes)
     if obs.enabled:
         obs.point(
             "analytic.predict", cat="analytic",
@@ -282,6 +291,6 @@ def predict_sweep(
     return NetPipeResult.from_columns(
         library.display_name,
         config.describe(),
-        list(map(int, sizes)),
+        int_sizes,
         times.tolist(),
     )

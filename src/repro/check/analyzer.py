@@ -23,6 +23,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -60,6 +61,12 @@ class ModuleContext:
     module: str | None
     tree: ast.Module
     source: str
+
+    @cached_property
+    def imports(self) -> "ImportMap":
+        """The module's import map, built once and shared by every rule
+        family and the project graph."""
+        return ImportMap.from_tree(self.tree)
 
     def finding(
         self, node: ast.AST, rule: str, message: str

@@ -116,14 +116,7 @@ class _ModuleInfo:
     """Lazily computed per-module lookup tables."""
 
     ctx: ModuleContext
-    _imports: ImportMap | None = None
     _defs: dict[str, ast.stmt] | None = None
-
-    @property
-    def imports(self) -> ImportMap:
-        if self._imports is None:
-            self._imports = ImportMap.from_tree(self.ctx.tree)
-        return self._imports
 
     @property
     def defs(self) -> dict[str, ast.stmt]:
@@ -300,7 +293,7 @@ class Project:
         return info.ctx.source if info else None
 
     def imports_of(self, ctx: ModuleContext) -> ImportMap:
-        return self._by_path[ctx.path].imports
+        return self._by_path[ctx.path].ctx.imports
 
     # -- cross-module name resolution -----------------------------------------
 
@@ -329,7 +322,7 @@ class Project:
                 return Resolved(info.ctx, node, trailing)
             # Re-export: ``from repro.mplib.tcp_base import Route`` in a
             # package __init__ forwards the lookup to the source module.
-            target = info.imports.names.get(name)
+            target = info.ctx.imports.names.get(name)
             if target is not None and target != dotted:
                 return self.resolve(
                     ".".join([target, *trailing]), _depth=_depth + 1
@@ -347,7 +340,7 @@ class Project:
         node = info.defs.get(name)
         if node is not None:
             return Resolved(ctx, node, ())
-        target = info.imports.names.get(name)
+        target = info.ctx.imports.names.get(name)
         if target is not None:
             return self.resolve(target)
         return None

@@ -60,7 +60,7 @@ def _annotation_base(node: ast.expr) -> ast.expr:
 
 def check(ctx: ModuleContext) -> list[Finding]:
     """Flag dataclass members the fingerprint walk cannot reach."""
-    imports = ImportMap.from_tree(ctx.tree)
+    imports = ctx.imports
     findings: list[Finding] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):

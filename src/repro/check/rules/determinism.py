@@ -102,6 +102,6 @@ class _UseVisitor(ast.NodeVisitor):
 
 def check(ctx: ModuleContext) -> list[Finding]:
     """Flag wall-clock/entropy/environment reads in ``ctx``'s module."""
-    visitor = _UseVisitor(ctx, ImportMap.from_tree(ctx.tree))
+    visitor = _UseVisitor(ctx, ctx.imports)
     visitor.visit(ctx.tree)
     return visitor.findings

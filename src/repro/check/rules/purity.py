@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.analyzer import Finding, ImportMap, ModuleContext
+from repro.check.analyzer import Finding, ModuleContext
 
 FAMILY = "purity"
 
@@ -76,7 +76,7 @@ def _module_scope_bindings(tree: ast.Module) -> set[str]:
 class _PurityVisitor(ast.NodeVisitor):
     def __init__(self, ctx: ModuleContext):
         self.ctx = ctx
-        self.imports = ImportMap.from_tree(ctx.tree)
+        self.imports = ctx.imports
         self.module_bindings = _module_scope_bindings(ctx.tree)
         self.findings: list[Finding] = []
 

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 from repro.units import to_mbps, to_us
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetPipePoint:
-    """One measured point: message size and one-way time."""
+    """One measured point: message size and one-way time.
+
+    Slotted: a curve holds dozens of points and the analytic tier builds
+    curves by the thousand, so points carry no per-instance ``__dict__``.
+    """
 
     size: int
     oneway_time: float  # seconds (RTT/2, NetPIPE convention)
@@ -25,6 +31,12 @@ class NetPipePoint:
     @property
     def time_us(self) -> float:
         return to_us(self.oneway_time)
+
+
+#: Slot setters for :meth:`NetPipeResult.from_columns` (they bypass the
+#: frozen ``__setattr__`` exactly as the generated ``__init__`` does).
+_SET_SIZE = NetPipePoint.size.__set__
+_SET_TIME = NetPipePoint.oneway_time.__set__
 
 
 @dataclass
@@ -53,23 +65,24 @@ class NetPipeResult:
 
         The analytic tier emits whole curves in microseconds, at which
         point :class:`NetPipePoint`'s frozen-dataclass ``__init__``
-        (two ``object.__setattr__`` dispatches per point) becomes the
-        single largest cost of a sweep.  This constructor fills each
-        point's ``__dict__`` directly — the same mechanism pickle uses
-        to restore frozen instances, and safe here because
-        :class:`NetPipePoint` carries no validation or ``__slots__``.
-        The points are equal to (and indistinguishable from) normally
-        constructed ones.
+        (two ``object.__setattr__`` dispatches per point) would be the
+        single largest cost of a sweep.  This constructor allocates the
+        points and fills their two slots through the slot descriptors,
+        all in C-level ``map`` passes — the same state a normal
+        construction leaves, so the points are equal to (and
+        indistinguishable from) normally constructed ones.  Columns
+        already in ascending size order (every NetPIPE schedule) skip
+        the sort ``__init__`` would do.
         """
-        new = NetPipePoint.__new__
-        points = []
-        append = points.append
-        for size, t in zip(sizes, oneway_times):
-            point = new(NetPipePoint)
-            point.__dict__["size"] = size
-            point.__dict__["oneway_time"] = t
-            append(point)
-        return cls(library=library, config=config, points=points)
+        n = len(sizes)
+        points = list(map(object.__new__, repeat(NetPipePoint, n)))
+        deque(map(_SET_SIZE, points, sizes), maxlen=0)
+        deque(map(_SET_TIME, points, oneway_times), maxlen=0)
+        if sorted(sizes) != list(sizes):
+            return cls(library=library, config=config, points=points)
+        result = cls(library=library, config=config)
+        result.points = points
+        return result
 
     # -- scalar summaries -------------------------------------------------------
     @property

@@ -402,7 +402,9 @@ def _validate_result(request: SweepRequest, result: NetPipeResult) -> str | None
                     f"schedule size {size}"
                 )
     times = [p.oneway_time for p in points]
-    if not all(map(isfinite, times)) or (times and min(times) <= 0):
+    # A positive minimum and a finite sum clear every point at once (a
+    # NaN or infinity poisons the sum); anything else takes the walk.
+    if times and not (min(times) > 0 and isfinite(sum(times))):
         for point in points:
             if not (isfinite(point.oneway_time) and point.oneway_time > 0):
                 return (

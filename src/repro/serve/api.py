@@ -281,9 +281,14 @@ def curve_metrics(result: NetPipeResult) -> dict[str, Any]:
     }
 
 
-def cost_block(config: ClusterConfig, result: NetPipeResult,
+def cost_block(config: ClusterConfig, max_mbps: float,
                nodes: int) -> dict[str, Any]:
-    """Price/performance for ``nodes`` nodes of this interconnect."""
+    """Price/performance for ``nodes`` nodes of this interconnect.
+
+    ``max_mbps`` is the curve's peak throughput — the ``max_mbps`` of
+    its :func:`curve_metrics`, which the serving core keeps with the
+    curve rather than rescanning it per answer.
+    """
     from repro.analysis.cost import cluster_bill
 
     switched = (not config.back_to_back) or nodes > 2
@@ -295,7 +300,7 @@ def cost_block(config: ClusterConfig, result: NetPipeResult,
         "interconnect_usd": interconnect,
         "interconnect_fraction": bill.interconnect_fraction,
         "mbps_per_interconnect_kusd": (
-            result.max_mbps / (interconnect / 1000.0) if interconnect else None
+            max_mbps / (interconnect / 1000.0) if interconnect else None
         ),
     }
 

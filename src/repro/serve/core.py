@@ -5,7 +5,8 @@ objects from the cheapest tier that has the curve:
 
 1. **hot** — an in-memory :class:`~repro.serve.hotcache.HotCurveLRU`
    keyed by the same salted fingerprints the disk cache is addressed
-   by: one dict lookup, no event loop yield.
+   by, holding each curve with its headline metrics: one dict lookup,
+   no event loop yield.
 2. **coalesced** — a request whose fingerprint is already being
    computed joins the in-flight future instead of starting another
    simulation: a thundering herd of identical questions performs
@@ -15,6 +16,13 @@ objects from the cheapest tier that has the curve:
 4. **computed** — :func:`~repro.exec.execute_with_policy` on a worker
    thread (``asyncio.to_thread``), with the executor's full hardening:
    retries, timeouts, pool-break degradation, result validation.
+
+Before any tier is probed, :meth:`ServeCore._route` turns the query
+into its routed request — resolved library and config, execution tier,
+salted fingerprint — once per distinct question, and remembers it (see
+:class:`Route`).  A repeated question, the common case, is therefore a
+route lookup plus a hot lookup: no resolving, no canonicalizing, no
+hashing, no rescanning of the curve.
 
 Admission is bounded: at most ``max_pending`` *leaders* (requests that
 actually compute) are in flight at once; past that the core sheds load
@@ -45,7 +53,8 @@ from __future__ import annotations
 # side channel into the simulation; sweeps still run via repro.exec.
 import asyncio
 import time
-from typing import TYPE_CHECKING, Any
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from repro.exec.cache import SweepCache
 from repro.exec.errors import SweepExecutionError
@@ -67,6 +76,7 @@ from repro.serve.speculate import neighbor_queries
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analytic.bands import BandStore
     from repro.core.results import NetPipeResult
+    from repro.exec.scheduler import SweepRequest
     from repro.faults.plan import FaultPlan
     from repro.scenario.runner import ScenarioStore
 
@@ -83,6 +93,37 @@ def _wall_now() -> float:
     coalescing tests assert bit-identity).
     """
     return time.monotonic()  # repro: allow[det-wallclock] service latency is wall time by definition; never flows into curve content
+
+
+class Route(NamedTuple):
+    """One distinct question, resolved and routed.
+
+    ``sweep`` is the executor request the query describes,
+    ``requested_tier`` the tier asked for (the query's override or the
+    policy's),
+    ``fingerprint`` the salted cache key of the routed request, and
+    ``demoted`` whether ``auto`` routing sent it to the engine for want
+    of a band.  Library models are stateless (``build`` makes fresh
+    endpoints per engine), so one resolved request serves every repeat.
+    """
+
+    sweep: "SweepRequest"
+    requested_tier: str
+    fingerprint: str
+    demoted: bool
+
+
+def route_key(query: ServeQuery) -> str:
+    """The route memo key: every query field that determines the curve.
+
+    ``compare_with`` and ``nodes`` are left out — they shape the
+    response, not the curve.  The key is the ``repr`` of the fields, so
+    it is as type-exact as the fingerprint's canonical form: ``mtu``
+    9000 and 9000.0, ``tuned`` True and 1, ``-0.0`` and ``0.0`` compare
+    equal but name different curves, and never share an entry.
+    """
+    return repr((query.library, query.config, query.mtu, query.tuned,
+                 query.sizes, query.repeats, query.tier))
 
 
 class ServeCore:
@@ -131,7 +172,10 @@ class ServeCore:
             self.scenario_store = ScenarioStore.from_env()
         self.scenario_hot = HotCurveLRU(hot_size)
         self._scenario_inflight: dict[str, asyncio.Future] = {}
+        # Curve payloads are (result, tier, metrics); routes are keyed by
+        # route_key.  One capacity bounds both.
         self.hot = HotCurveLRU(hot_size)
+        self.routes = HotCurveLRU(hot_size)
         self.max_pending = max_pending
         self.speculate = speculate
         self.speculate_depth = speculate_depth
@@ -158,31 +202,36 @@ class ServeCore:
             executor's whole retry budget.
         """
         self.obs.count("serve.requests")
-        sweep = query.resolve()
-        result, fingerprint, tier, source, timing = await self._answer(
-            query, sweep
+        route = self._route(query)
+        result, tier, source, timing, metrics = await self._answer(
+            query, route
         )
         crossover = None
         if query.compare_with is not None:
             other_query = query.companion(query.compare_with)
-            other_sweep = other_query.resolve()
-            other, _, _, _, _ = await self._answer(other_query, other_sweep)
-            crossover = self._crossover_block(query, result, other)
+            other, _, _, _, other_metrics = await self._answer(
+                other_query, self._route(other_query)
+            )
+            crossover = self._crossover_block(
+                query, result, other, other_metrics
+            )
         return ServeResponse(
             query=query,
             result=result,
-            fingerprint=fingerprint,
+            fingerprint=route.fingerprint,
             tier=tier,
             source=source,
-            metrics=curve_metrics(result),
+            metrics=metrics,
             crossover=crossover,
-            cost=cost_block(sweep.config, result, query.nodes),
+            cost=cost_block(route.sweep.config, metrics["max_mbps"],
+                            query.nodes),
             timing=timing,
         )
 
     @staticmethod
     def _crossover_block(query: ServeQuery, mine: "NetPipeResult",
-                         other: "NetPipeResult") -> dict[str, Any]:
+                         other: "NetPipeResult",
+                         other_metrics: Mapping[str, Any]) -> dict[str, Any]:
         """Who overtakes whom, at which measured size."""
         from repro.analysis.compare import crossover_size
 
@@ -190,51 +239,77 @@ class ServeCore:
             "versus": query.compare_with,
             "overtakes_at": crossover_size(mine, other),
             "overtaken_at": crossover_size(other, mine),
-            "versus_max_mbps": other.max_mbps,
+            "versus_max_mbps": other_metrics["max_mbps"],
             "versus_latency_us": other.latency_us,
         }
 
+    def _route(self, query: ServeQuery) -> Route:
+        """Resolve, tier-route and fingerprint ``query``, once per
+        distinct question.
+
+        The foreground query, its ``compare_with`` companion and every
+        speculation neighbor come through here.  A failure —
+        :class:`BadRequestError` from resolving or routing — is raised
+        and never remembered, so a bad question fails on every repeat.
+        A request ``auto`` demotes counts ``serve.tier.fallback`` every
+        time it is asked, remembered or not.
+        """
+        key = route_key(query)
+        route = self.routes.get(key)
+        if route is None:
+            sweep = query.resolve()
+            tier_wanted = (
+                query.tier if query.tier is not None else self.policy.tier
+            )
+            demotions: list[str] = []
+            try:
+                plan = plan_tiers(
+                    [sweep], tier_wanted, salt=self.policy.salt,
+                    bands=self._bands,
+                    on_fallback=lambda _r, why: demotions.append(why),
+                )
+            except (SweepExecutionError, ValueError) as exc:
+                # A routing demand that cannot be met is the *query's*
+                # problem (bad tier name, analytic without a band), not
+                # an execution failure.
+                raise BadRequestError(str(exc))
+            route = Route(sweep, tier_wanted, plan.fingerprint(sweep, 0),
+                          bool(demotions))
+            self.routes.put(key, route)
+        if route.demoted:
+            self.obs.count("serve.tier.fallback")
+        return route
+
     async def _answer(
-        self, query: ServeQuery, sweep: Any
-    ) -> tuple["NetPipeResult", str, str, str, dict[str, float]]:
-        """One curve through the tiers: (result, fp, tier, source, timing).
+        self, query: ServeQuery, route: Route
+    ) -> tuple["NetPipeResult", str, str, dict[str, float], Mapping[str, Any]]:
+        """One routed curve through the tiers:
+        (result, tier, source, timing, metrics).
 
         The hot probe, the in-flight probe, and leader registration all
         happen synchronously between awaits, so concurrent tasks on the
         one event loop can never both become leader for a fingerprint.
+        The headline metrics are computed once, when the curve enters
+        the hot tier, and travel with it — to hot hits and, through the
+        in-flight future, to coalesced followers.
         """
-        tier_wanted = query.tier if query.tier is not None else self.policy.tier
-        try:
-            plan = plan_tiers(
-                [sweep], tier_wanted, salt=self.policy.salt,
-                bands=self._bands,
-                on_fallback=lambda _r, _why: self.obs.count(
-                    "serve.tier.fallback"
-                ),
-            )
-        except (SweepExecutionError, ValueError) as exc:
-            # A routing demand that cannot be met is the *query's*
-            # problem (bad tier name, analytic without a band), not an
-            # execution failure.
-            raise BadRequestError(str(exc))
-        fingerprint = plan.fingerprint(sweep, 0)
-
+        fingerprint = route.fingerprint
         hot = self.hot.get(fingerprint)
         if hot is not None:
             self.obs.count("serve.hot")
-            result, tier = hot
+            result, tier, metrics = hot
             return (
-                result, fingerprint, tier, "hot",
-                {"queue_s": 0.0, "compute_s": 0.0},
+                result, tier, "hot",
+                {"queue_s": 0.0, "compute_s": 0.0}, metrics,
             )
 
         inflight = self._inflight.get(fingerprint)
         if inflight is not None:
             self.obs.count("serve.coalesced")
-            result, tier = await inflight
+            result, tier, metrics = await inflight
             return (
-                result, fingerprint, tier, "coalesced",
-                {"queue_s": 0.0, "compute_s": 0.0},
+                result, tier, "coalesced",
+                {"queue_s": 0.0, "compute_s": 0.0}, metrics,
             )
 
         if self._computing >= self.max_pending:
@@ -247,12 +322,12 @@ class ServeCore:
         self._computing += 1
         t_submitted = _wall_now()
         policy = (
-            self.policy if tier_wanted == self.policy.tier
-            else self.policy.with_tier(tier_wanted)
+            self.policy if route.requested_tier == self.policy.tier
+            else self.policy.with_tier(route.requested_tier)
         )
         try:
             t_started, result, report = await asyncio.to_thread(
-                self._compute, sweep, policy
+                self._compute, route.sweep, policy
             )
         except BaseException as exc:
             future.set_exception(exc)
@@ -277,13 +352,16 @@ class ServeCore:
             tier=tier, source=source,
         )
         self.obs.count(f"serve.{source}")
-        self.hot.put(fingerprint, (result, tier))
-        future.set_result((result, tier))
+        # Read-only: every later answer for this curve shares the dict.
+        metrics = MappingProxyType(curve_metrics(result))
+        self.hot.put(fingerprint, (result, tier, metrics))
+        future.set_result((result, tier, metrics))
         if source == "computed":
             self._enqueue_speculation(query)
         return (
-            result, fingerprint, tier, source,
+            result, tier, source,
             {"queue_s": t_started - t_submitted, "compute_s": t_done - t_started},
+            metrics,
         )
 
     # -- the scenario path ---------------------------------------------------
@@ -411,7 +489,7 @@ class ServeCore:
         while True:
             neighbor = await self._spec_queue.get()
             try:
-                await self._answer(neighbor, neighbor.resolve())
+                await self._answer(neighbor, self._route(neighbor))
                 self.obs.count("serve.speculate.warmed")
             except OverloadedError:
                 self.obs.count("serve.speculate.shed")

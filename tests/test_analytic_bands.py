@@ -133,6 +133,40 @@ def test_band_store_roundtrips(tmp_path):
     assert again.bands == sub.bands
 
 
+def test_spec_memos_never_alias_equal_but_distinct_configs():
+    """MTU 9000 and 9000.0 give configs that compare (and hash) equal
+    but canonicalize apart.  On one library object, each memoized band
+    fingerprint and compiled predictor must be the one a fresh
+    computation gives for *that* config, whatever was asked first."""
+    import gc
+
+    from repro.analytic import bands as bands_module
+    from repro.analytic import model as model_module
+    from repro.experiments.configs import pc_syskonnect
+    from repro.mplib.registry import REGISTRY
+
+    library = REGISTRY["mpich"]()
+    as_int = pc_syskonnect().with_mtu(9000)
+    as_float = pc_syskonnect().with_mtu(9000.0)
+    assert as_int == as_float and hash(as_int) == hash(as_float)
+
+    memoed = [band_fingerprint(library, cfg) for cfg in (as_int, as_float)]
+    compiled = [model_module._predictor(library, cfg)
+                for cfg in (as_int, as_float)]
+    bands_module._FP_MEMO.clear()
+    model_module._PREDICTORS.clear()
+    fresh = [band_fingerprint(library, cfg) for cfg in (as_float, as_int)]
+    assert memoed == fresh[::-1]
+    assert memoed[0] != memoed[1]
+    assert compiled[0] is not compiled[1]
+
+    # Entries die with their objects: a recycled id cannot alias.
+    before = len(bands_module._FP_MEMO)
+    del as_int, as_float
+    gc.collect()
+    assert len(bands_module._FP_MEMO) == before - 2
+
+
 def _regen() -> None:
     """Re-measure every figure pair and rewrite the packaged bands."""
     store = mint_bands((lib, cfg) for _, lib, cfg in PAIRS)

@@ -179,6 +179,31 @@ def test_result_is_sorted_by_size():
     assert [p.size for p in r.points] == [1, 1000]
 
 
+@pytest.mark.parametrize("sizes, times", [
+    ([1, 64, 1024], [us(1), us(2), us(30)]),
+    ([1024, 1, 64], [us(30), us(1), us(2)]),  # unsorted columns
+    ([], []),
+])
+def test_from_columns_equals_normal_construction(sizes, times):
+    """The bulk constructor leaves exactly the state __init__ would:
+    equal results, equal canonical forms, same pickle round trip."""
+    import pickle
+
+    from repro.exec.fingerprint import canonicalize
+
+    bulk = NetPipeResult.from_columns("x", "y", sizes, times)
+    normal = NetPipeResult(
+        "x", "y", [NetPipePoint(s, t) for s, t in zip(sizes, times)]
+    )
+    assert bulk == normal
+    assert [type(p) for p in bulk.points] == [NetPipePoint] * len(sizes)
+    assert canonicalize(bulk) == canonicalize(normal)
+    assert pickle.loads(pickle.dumps(bulk)) == normal
+    for point in bulk.points:
+        with pytest.raises(AttributeError):  # still frozen
+            point.size = 2
+
+
 def test_result_len_and_iter():
     r = make_result()
     assert len(r) == 5
