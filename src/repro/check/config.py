@@ -166,11 +166,10 @@ DEFAULT_POLICY = Policy(
     },
     rule_exemptions={
         # The sanctioned places for file I/O: baseline/result
-        # (de)serialization, the obs trace-file writers, the analytic
-        # tolerance-band store, and the verify verdict cache.
+        # (de)serialization, the obs trace-file writers and the analytic
+        # tolerance-band store (repro.store is outside the purity scope).
         "pure-open": (
             "repro.core.io", "repro.obs.export", "repro.analytic.bands",
-            "repro.verify.cache",
         ),
     },
 )

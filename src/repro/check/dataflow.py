@@ -19,11 +19,12 @@ facts the ``async-*`` and ``fp-*`` rule families need:
   ``return``/``raise`` terminate paths, so the serving core's probe /
   register / compute discipline does not fire);
 * orphaned tasks and unbounded asyncio queues;
-* cache-boundary sites (``*.put`` / ``*.try_put`` on a cache/store
-  receiver) with the backward slice of the key and value expressions
-  reduced to *roots*: the parameters and ``self`` attributes each side
-  ultimately depends on, including control dependencies (an input that
-  picks the branch shapes the value as surely as one added to it).
+* cache-boundary sites (``*.put`` on a cache/store receiver, the one
+  write API of every :mod:`repro.store` namespace) with the backward
+  slice of the key and value expressions reduced to *roots*: the
+  parameters and ``self`` attributes each side ultimately depends on,
+  including control dependencies (an input that picks the branch
+  shapes the value as surely as one added to it).
 
 Summaries are **intra**-procedural, so they cache per file: the
 content digest that keys the pickled AST also keys the summary list
@@ -44,12 +45,13 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.check.analyzer import ImportMap, ModuleContext
+from repro.check.project import AstCache
+from repro.store import ContentStore
 
 #: Bump on any change to the summary record shape.  Edits to this file
 #: already start a fresh cache generation (the AST-cache salt digests
@@ -580,7 +582,7 @@ class _RaceWalker:
 
 # -- cache-boundary slicing ---------------------------------------------------
 
-_PUT_METHODS = ("put", "try_put")
+_PUT_METHODS = ("put",)
 _PUT_RECEIVERS = ("cache", "store")
 
 
@@ -891,52 +893,36 @@ def summarize_module(
 
 # -- the summary cache --------------------------------------------------------
 
-class SummaryCache:
+class SummaryCache(ContentStore):
     """Per-file summary store sharing the AST cache's generation dir.
 
-    Layout: ``<root>/<salt>/<digest[:2]>/<digest>.sum.json`` — the same
-    content digest that names a file's pickled AST names its summary
-    list, so the two caches hit and miss together and a stale summary
-    can never outlive its tree.
+    The root, generation and content digest that name a file's pickled
+    AST (:class:`~repro.check.project.AstCache`) name its summary list,
+    so the two caches hit and miss together and a stale summary can
+    never outlive its tree.
     """
 
-    def __init__(self, root: Path) -> None:
-        self.root = root
+    suffix = ".sum.json"
+    version = AstCache.version
+    salt_packages = AstCache.salt_packages
 
-    @classmethod
-    def for_ast_cache(cls, ast_cache) -> "SummaryCache":
-        return cls(ast_cache.root)
-
-    def _entry(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.sum.json"
+    @staticmethod
+    def _decode(payload: bytes) -> list[FunctionSummary]:
+        data = json.loads(payload)
+        if data.get("version") != SUMMARY_VERSION:
+            raise ValueError(f"not a {SUMMARY_VERSION} entry")
+        return [FunctionSummary.from_jsonable(f) for f in data["functions"]]
 
     def get(self, digest: str) -> list[FunctionSummary] | None:
-        try:
-            payload = json.loads(self._entry(digest).read_text("utf-8"))
-            if payload.get("version") != SUMMARY_VERSION:
-                return None
-            return [
-                FunctionSummary.from_jsonable(f)
-                for f in payload["functions"]
-            ]
-        except Exception:
-            return None
+        return self.read(digest, self._decode)
 
-    def put(self, digest: str, summaries: list[FunctionSummary]) -> None:
-        entry = self._entry(digest)
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            tmp = entry.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps({
-                    "version": SUMMARY_VERSION,
-                    "functions": [s.to_jsonable() for s in summaries],
-                }),
-                "utf-8",
-            )
-            tmp.replace(entry)
-        except OSError:
-            pass  # read-only cache degrades to summarize-always
+    def put(self, digest: str,
+            summaries: list[FunctionSummary]) -> Path | None:
+        payload = json.dumps({
+            "version": SUMMARY_VERSION,
+            "functions": [s.to_jsonable() for s in summaries],
+        })
+        return self.write(digest, payload.encode())
 
 
 # -- the interprocedural view -------------------------------------------------
@@ -966,10 +952,8 @@ class Dataflow:
     @classmethod
     def build(cls, project) -> "Dataflow":
         flow = cls(project)
-        cache = None
-        ast_cache = getattr(project, "ast_cache", None)
-        if ast_cache is not None:
-            cache = SummaryCache.for_ast_cache(ast_cache)
+        cache = (SummaryCache(project.ast_cache.root)
+                 if project.ast_cache is not None else None)
         for ctx in project.modules:
             digest = project.digest_by_path.get(ctx.path)
             summaries = None

@@ -8,25 +8,17 @@ flow, dimension analysis) use it to resolve a name in one module to
 its definition in another — following ``from x import y`` re-export
 chains — which a per-file analyzer cannot do.
 
-Parsing is the dominant cost of a whole-tree run, so the project
-supports an on-disk AST cache keyed by *content digest*: the SHA-256
-of the file bytes names a pickled AST, and the cache directory is
-versioned by the Python version plus a source digest over the
-``check`` package itself (the same :func:`repro.exec.fingerprint.
-source_digest` machinery that salts the sweep cache).  Editing any
-analyzer source automatically invalidates every cached tree; an
-unchanged tree re-runs with zero parses.  Corrupt or unreadable
-entries are treated as misses, never errors.
+Parsing is the dominant cost of a whole-tree run, so the project can
+load trees from an :class:`AstCache` keyed by *content digest*, the
+SHA-256 of the file bytes: an unchanged tree re-runs with zero parses,
+and editing any analyzer source invalidates every cached tree.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 import hashlib
-import os
 import pickle
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,25 +31,7 @@ from repro.check.analyzer import (
     iter_python_files,
     module_name_for_path,
 )
-
-#: Bump only on a semantic break in the cache entry format; analyzer
-#: code edits are picked up automatically via the source digest.
-_CACHE_VERSION = "repro-ast-v1"
-
-
-@functools.lru_cache(maxsize=None)
-def ast_cache_salt() -> str:
-    """Version tag naming the cache generation directory.
-
-    Folds in the Python minor version (pickled ASTs are not portable
-    across grammars) and a content digest over the ``check`` package,
-    so editing any rule or driver source starts a fresh generation.
-    """
-    from repro.exec.fingerprint import source_digest
-
-    tag = f"{_CACHE_VERSION}-py{sys.version_info[0]}.{sys.version_info[1]}"
-    digest = source_digest(packages=("check",))
-    return f"{tag}+{digest[:16]}" if digest else tag
+from repro.store import ContentStore
 
 
 def file_digest(data: bytes) -> str:
@@ -65,39 +39,31 @@ def file_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class AstCache:
-    """Content-addressed pickled-AST store under one directory.
+class AstCache(ContentStore):
+    """Pickled ASTs keyed by :func:`file_digest`.
 
-    Layout: ``<root>/<salt>/<digest[:2]>/<digest>.ast``.  Writes are
-    atomic (temp file + rename) so a crashed run never leaves a
-    half-written entry; reads treat any unpicklable or non-AST payload
-    as a miss.
+    The generation folds in the Python minor version (pickled ASTs are
+    not portable across grammars) and a digest over the ``check``
+    package, so editing any rule or driver source starts afresh.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root) / ast_cache_salt()
+    suffix = ".ast"
+    version = "repro-ast-v1"
+    salt_packages = ("check",)
 
-    def _entry(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.ast"
+    @staticmethod
+    def _decode(payload: bytes) -> ast.Module:
+        tree = pickle.loads(payload)
+        if not isinstance(tree, ast.Module):
+            raise ValueError("an AST entry must pickle an ast.Module")
+        return tree
 
     def get(self, digest: str) -> ast.Module | None:
-        entry = self._entry(digest)
-        try:
-            payload = entry.read_bytes()
-            tree = pickle.loads(payload)
-        except Exception:
-            return None
-        return tree if isinstance(tree, ast.Module) else None
+        return self.read(digest, self._decode)
 
-    def put(self, digest: str, tree: ast.Module) -> None:
-        entry = self._entry(digest)
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            tmp = entry.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
-            tmp.replace(entry)
-        except OSError:
-            pass  # a read-only cache directory degrades to parse-always
+    def put(self, digest: str, tree: ast.Module) -> Path | None:
+        payload = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
+        return self.write(digest, payload)
 
 
 @dataclass

@@ -21,9 +21,10 @@ front end runs every request through the same hardened core.  Tier
 routing (sim vs closed-form analytic) is its own reusable piece,
 :mod:`repro.exec.tiers`.
 
-See docs/PERFORMANCE.md for the cache layout and invalidation rules
-(fingerprint-sharded directories with a migration shim for the early
-flat layout), docs/SERVING.md for the serving architecture on top, and
+:class:`SweepCache` is one namespace of :mod:`repro.store`, which
+states the on-disk semantics every store shares.  See
+docs/PERFORMANCE.md for the cache layout and invalidation rules,
+docs/SERVING.md for the serving architecture on top, and
 docs/TESTING.md for the test tiers covering this package.
 """
 

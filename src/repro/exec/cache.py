@@ -1,217 +1,48 @@
 """Content-addressed on-disk cache for NetPIPE sweep results.
 
-Layout: ``<root>/<aa>/<fingerprint>.json`` where ``aa`` is the first
-two hex digits — the first *byte* — of the fingerprint: 256 shards, so
-no single directory grows unbounded and concurrent readers (the
-:mod:`repro.serve` front end keeps one cache open for its whole
-lifetime) never scan one giant listing.  Entries are the same JSON
-documents :mod:`repro.core.io` writes for baselines, so a cache entry
-can be inspected — or diffed against a live run — with the ordinary
-tooling.
-
-Semantics:
-
-* **hit** — the file exists and parses; the stored curve is returned
-  bit-identical to what the simulation produced (JSON round-trips the
-  float times exactly via ``repr``).
-* **miss** — no file, *or* a file that fails to parse/validate.  A
-  corrupt entry (truncated write, stray edit) is silently treated as a
-  miss and overwritten by the next :meth:`SweepCache.put`; writes are
-  atomic (tmp + ``os.replace``) so the cache itself can never create
-  one.
-* **invalidation** — content-addressed means there is no staleness to
-  track: any change to the library parameters, cluster config, size
-  schedule, repeats, or the code salt produces a different fingerprint
-  and therefore a cold entry.  ``invalidate``/``clear`` exist for
-  explicit housekeeping.
-* **migration** — very early caches stored entries *flat*
-  (``<root>/<fingerprint>.json``).  A sharded-path miss falls back to
-  the flat location, and a flat hit is promoted into its shard on the
-  spot (best-effort atomic rename), so a pre-shard cache directory
-  keeps its warmth and converges to the sharded layout as it is read.
-  :meth:`SweepCache.migrate_flat` sweeps the remainder in one call.
+Entries live at ``<root>/<aa>/<fingerprint>.json`` and are the JSON
+documents :mod:`repro.core.io` writes for baselines, so ordinary tooling
+can inspect them or diff them against a live run.  The semantics are
+:mod:`repro.store`'s; the fingerprint already folds in the code salt,
+so there is no generation directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 from pathlib import Path
 
-from repro.core.io import result_from_dict, save_result
+from repro.core.io import result_from_dict, result_to_dict
 from repro.core.results import NetPipeResult
+from repro.store import ContentStore
 
 #: Environment variable naming a default cache directory.  When set,
 #: the experiment harness caches sweeps there without code changes.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 
 
-class SweepCache:
+class SweepCache(ContentStore):
     """A directory of fingerprint-addressed NetPIPE curves."""
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.write_errors = 0
-        self.migrated = 0
+    #: Environment variable :meth:`from_env` reads the root from.
+    env_var = CACHE_DIR_ENV
 
     @classmethod
     def from_env(cls) -> "SweepCache | None":
-        """Cache at ``$REPRO_SWEEP_CACHE``, or None when unset/empty."""
-        # repro: allow[det-env] selects where curves are stored, never
-        # what they contain — content addressing keeps entries location-
-        # independent.
-        root = os.environ.get(CACHE_DIR_ENV, "").strip()
+        """A store at ``$<env_var>``, or None when unset or empty."""
+        # repro: allow[det-env] picks where entries live, never what
+        # they hold: content addressing keeps them location-independent.
+        root = os.environ.get(cls.env_var, "").strip()
         return cls(root) if root else None
 
-    def path_for(self, fingerprint: str) -> Path:
-        """Where a given fingerprint lives (whether or not it exists)."""
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def flat_path_for(self, fingerprint: str) -> Path:
-        """The pre-shard location of a fingerprint (migration source)."""
-        return self.root / f"{fingerprint}.json"
-
-    def _read(self, path: Path) -> NetPipeResult | None:
-        """Parse one entry file; None when absent or corrupt."""
-        try:
-            data = json.loads(path.read_text())
-            return result_from_dict(data)
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            # Truncated or hand-mangled entry: a miss, not an error.
-            self.corrupt += 1
-            return None
+    @staticmethod
+    def _decode(payload: bytes) -> NetPipeResult:
+        return result_from_dict(json.loads(payload))
 
     def get(self, fingerprint: str) -> NetPipeResult | None:
-        """The cached curve, or None on miss (including corrupt files).
+        return self.read(fingerprint, self._decode)
 
-        Falls back to the flat pre-shard location and migrates a flat
-        hit into its shard (atomic rename; losing the race to a
-        concurrent writer is harmless — both files hold the identical
-        curve, content addressing guarantees it).
-        """
-        path = self.path_for(fingerprint)
-        result = self._read(path)
-        if result is None and not path.exists():
-            flat = self.flat_path_for(fingerprint)
-            result = self._read(flat)
-            if result is not None:
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(flat, path)
-                    self.migrated += 1
-                except OSError:
-                    pass  # read-only cache: keep serving from flat
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, fingerprint: str, result: NetPipeResult) -> Path:
-        """Store a curve; concurrent writers are safe.
-
-        :func:`repro.core.io.save_result` writes atomically (tmp +
-        ``os.replace`` in the destination directory, tmp named by pid),
-        so parallel workers racing on the same fingerprint both land a
-        complete file and last-write-wins — which is harmless, as both
-        wrote the identical curve.
-        """
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_result(result, path)
-        return path
-
-    def try_put(self, fingerprint: str, result: NetPipeResult) -> Path | None:
-        """Best-effort :meth:`put`: a failed write warns instead of raising.
-
-        A sweep that simulated correctly is a good result even when the
-        cache directory is full, read-only, or gone — losing the cache
-        entry only costs a re-simulation next run.  Returns the entry
-        path, or ``None`` when the write failed (the failure is issued
-        as a :class:`RuntimeWarning` and counted in ``write_errors``).
-        """
-        try:
-            return self.put(fingerprint, result)
-        except OSError as exc:
-            self.write_errors += 1
-            warnings.warn(
-                f"sweep-cache write failed for {fingerprint[:12]} "
-                f"under {self.root}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-
-    def invalidate(self, fingerprint: str) -> bool:
-        """Drop one entry (sharded or still-flat); True if it existed."""
-        removed = False
-        for path in (self.path_for(fingerprint),
-                     self.flat_path_for(fingerprint)):
-            try:
-                path.unlink()
-                removed = True
-            except FileNotFoundError:
-                pass
-        return removed
-
-    def migrate_flat(self) -> int:
-        """Promote every remaining flat entry into its shard.
-
-        Returns how many entries moved.  Safe to run on a live cache:
-        renames are atomic and a concurrent reader falls back to the
-        flat path until the move lands.
-        """
-        moved = 0
-        for entry in self.root.glob("*.json"):
-            fingerprint = entry.stem
-            target = self.path_for(fingerprint)
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(entry, target)
-            except OSError:
-                continue
-            moved += 1
-        self.migrated += moved
-        return moved
-
-    def shard_counts(self) -> dict[str, int]:
-        """Entries per populated shard directory (flat entries under '').
-
-        The serving layer reports this as its disk-tier spread; a herd
-        of distinct fingerprints should fan out across shards instead
-        of piling into one directory.
-        """
-        counts: dict[str, int] = {}
-        for entry in self.root.glob("??/*.json"):
-            shard = entry.parent.name
-            counts[shard] = counts.get(shard, 0) + 1
-        flat = sum(1 for _ in self.root.glob("*.json"))
-        if flat:
-            counts[""] = flat
-        return counts
-
-    def clear(self) -> int:
-        """Drop every entry (sharded and flat); returns how many."""
-        removed = 0
-        for pattern in ("??/*.json", "*.json"):
-            for entry in self.root.glob(pattern):
-                entry.unlink()
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        return sum(self.shard_counts().values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SweepCache {self.root} hits={self.hits} "
-            f"misses={self.misses} corrupt={self.corrupt} "
-            f"write_errors={self.write_errors} migrated={self.migrated}>"
-        )
+    def put(self, fingerprint: str, result: NetPipeResult) -> Path | None:
+        payload = json.dumps(result_to_dict(result), indent=2)
+        return self.write(fingerprint, payload.encode())

@@ -54,10 +54,8 @@ def source_digest(
     path and raw bytes.  ``root`` defaults to the installed ``repro``
     package directory.  Returns ``None`` when no source files are found
     (e.g. running from a frozen archive), which callers treat as "fall
-    back to the plain version prefix".  Other subsystems reuse this
-    with their own package list — :mod:`repro.check.project` salts its
-    on-disk AST cache with a digest over the ``check`` package so a
-    cache written by one analyzer version is never replayed by another.
+    back to the plain version prefix".  :mod:`repro.store` reuses it,
+    with each store's own package list, to salt generation directories.
     """
     base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()

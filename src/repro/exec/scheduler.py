@@ -201,6 +201,9 @@ class ExecEvent:
 #: Span category the executor files its incident events under.
 EXEC_EVENT_CAT = "exec-event"
 
+#: Detail of a ``cache-write-failed`` event (the store warns once).
+_CACHE_WRITE_FAILED = "cache write failed; see the store's warning"
+
 
 @dataclass
 class RunReport:
@@ -766,11 +769,9 @@ def execute_with_policy(
                 events_processed=0,
                 tier="analytic",
             )
-            if cache is not None and cache.try_put(fingerprints[i], result) is None:
-                report.record_event(
-                    request.label, 0, "cache-write-failed",
-                    "cache write failed; see warning for the cause",
-                )
+            if cache is not None and cache.put(fingerprints[i], result) is None:
+                report.record_event(request.label, 0, "cache-write-failed",
+                                    _CACHE_WRITE_FAILED)
 
     pending = [i for i in pending if tiers[i] == "sim"]
     if pending:
@@ -802,11 +803,9 @@ def execute_with_policy(
                 attempts=attempts,
                 timed_out=timed_out,
             )
-            if cache is not None and cache.try_put(fingerprints[i], result) is None:
-                report.record_event(
-                    requests[i].label, attempts - 1, "cache-write-failed",
-                    "cache write failed; see warning for the cause",
-                )
+            if cache is not None and cache.put(fingerprints[i], result) is None:
+                report.record_event(requests[i].label, attempts - 1,
+                                    "cache-write-failed", _CACHE_WRITE_FAILED)
 
     report.stats = [s for s in stats if s is not None]
     return [r for r in results if r is not None], report

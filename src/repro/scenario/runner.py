@@ -4,9 +4,9 @@
 with the same execution discipline the sweep executor gives curves:
 
 * results are content-addressed by :meth:`ScenarioSpec.fingerprint`
-  and stored in a :class:`ScenarioStore` (the sweep cache's sharded,
-  atomic-write layout holding scenario documents) — a warm replay
-  returns the stored document bit-identical to the simulation;
+  and stored in a :class:`ScenarioStore` (the sweep cache's layout
+  holding scenario documents) — a warm replay returns the stored
+  document bit-identical to the simulation;
 * a non-quiet spec first runs (or cache-hits) its quiet twin, so every
   congested result carries its slowdown baseline;
 * the spec's ``faults`` entries become a :class:`~repro.faults.plan.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,44 +50,18 @@ class ScenarioExecutionError(RuntimeError):
 
 
 class ScenarioStore(SweepCache):
-    """Fingerprint-addressed scenario results on disk.
+    """The sweep cache's layout and semantics (:mod:`repro.store`),
+    holding :class:`~repro.scenario.result.ScenarioResult` documents."""
 
-    Same layout and semantics as :class:`repro.exec.cache.SweepCache`
-    — ``<root>/<aa>/<fingerprint>.json``, corrupt entries are misses,
-    writes are atomic — but entries are
-    :class:`~repro.scenario.result.ScenarioResult` documents.
-    """
+    env_var = SCENARIO_CACHE_ENV
 
-    @classmethod
-    def from_env(cls) -> "ScenarioStore | None":
-        """Store at ``$REPRO_SCENARIO_CACHE``, or None when unset."""
-        # repro: allow[det-env] selects where documents are stored,
-        # never what they contain — content addressing keeps entries
-        # location-independent.
-        root = os.environ.get(SCENARIO_CACHE_ENV, "").strip()
-        return cls(root) if root else None
+    @staticmethod
+    def _decode(payload: bytes) -> ScenarioResult:
+        return ScenarioResult.from_jsonable(json.loads(payload))
 
-    def _read(self, path: Path) -> ScenarioResult | None:
-        """Parse one stored document; None when absent or corrupt."""
-        try:
-            data = json.loads(path.read_text())
-            return ScenarioResult.from_jsonable(data)
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            self.corrupt += 1
-            return None
-
-    def put(self, fingerprint: str, result: ScenarioResult) -> Path:
-        """Store a document atomically (tmp + ``os.replace``)."""
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        tmp.write_text(
-            json.dumps(result.to_jsonable(), indent=2, sort_keys=True) + "\n"
-        )
-        os.replace(tmp, path)
-        return path
+    def put(self, fingerprint: str, result: ScenarioResult) -> Path | None:
+        payload = json.dumps(result.to_jsonable(), indent=2, sort_keys=True)
+        return self.write(fingerprint, (payload + "\n").encode())
 
 
 @dataclass
@@ -231,7 +204,7 @@ def run_scenario(
             report = ScenarioReport(fingerprint=fingerprint, cached=False,
                                     attempts=attempts, trace=recorder)
             if cache is not None and not trace:
-                cache.try_put(fingerprint, result)
+                cache.put(fingerprint, result)
             return result, report
         last_error = problem
     raise ScenarioExecutionError(

@@ -519,17 +519,6 @@ class ServeCore:
     def stats(self) -> dict[str, Any]:
         """The service-lifetime counters, as one JSON-ready document."""
         counters = self.obs.counters
-        disk: dict[str, Any] | None = None
-        if self.cache is not None:
-            disk = {
-                "root": str(self.cache.root),
-                "entries": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "corrupt": self.cache.corrupt,
-                "migrated": self.cache.migrated,
-                "shards": self.cache.shard_counts(),
-            }
         return {
             "requests": int(counters.get("serve.requests", 0)),
             "sources": {
@@ -544,7 +533,7 @@ class ServeCore:
             "max_pending": self.max_pending,
             "hot": {**self.hot.snapshot(),
                     "recent_evictions": self.hot.recent_evictions()},
-            "disk": disk,
+            "disk": self.cache.stats() if self.cache is not None else None,
             "exec": {
                 "simulated": int(counters.get("serve.exec.simulated", 0)),
                 "analytic": int(counters.get("serve.exec.analytic", 0)),

@@ -32,7 +32,7 @@ the ``verify-*`` rule family of ``repro check``
 :func:`verify_library` below.  See docs/VERIFICATION.md.
 """
 
-from repro.verify.cache import VerdictCache, entry_key, verify_cache_salt
+from repro.verify.cache import VerdictCache, entry_key
 from repro.verify.explore import (
     HOP_BOUND,
     Counterexample,
@@ -94,7 +94,6 @@ __all__ = [
     "run_pair",
     "sizes_for_spec",
     "trace_digest",
-    "verify_cache_salt",
     "verify_library",
     "verify_pairing",
     "verify_universe",

@@ -255,8 +255,8 @@ def verify_library(
 
     if cache is not None and key is not None:
         # The compiled models are derived from mplib/verify/check
-        # sources, which the generation salt (verify_cache_salt)
-        # already digests — they are code, not a runtime input.
+        # sources, which VerdictCache's generation salt already
+        # digests — they are code, not a runtime input.
         # repro: allow[fp-unsalted-input] models are covered by the generation salt
         cache.put(key, verdict.to_dict())
     return verdict

@@ -12,5 +12,5 @@ def compute(config, tuning):
 
 def warm(cache, config, tuning, retries=3):
     if retries:
-        cache.try_put(fingerprint(config, tuning), compute(config, tuning))
+        cache.put(fingerprint(config, tuning), compute(config, tuning))
     return retries

@@ -230,7 +230,7 @@ def test_summary_cache_round_trips_and_rejects_corrupt(tmp_path):
     assert loaded == summaries
     assert all(isinstance(s, FunctionSummary) for s in loaded)
     # Corruption is a miss, never an error.
-    entry = cache._entry("ab" * 32)
+    entry = cache.path_for("ab" * 32)
     entry.write_text("{not json")
     assert cache.get("ab" * 32) is None
     assert cache.get("cd" * 32) is None

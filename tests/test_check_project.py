@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.analyzer import analyze_project, analyze_paths
-from repro.check.project import AstCache, Project, ast_cache_salt, file_digest
+from repro.check.project import AstCache, Project, file_digest
 from repro.verify.universe import build_models
 
 pytestmark = pytest.mark.check
@@ -120,7 +120,7 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
     Project.from_paths([f], cache=cache)
 
     digest = file_digest(f.read_bytes())
-    entry = cache._entry(digest)
+    entry = cache.path_for(digest)
     assert entry.exists()
     entry.write_bytes(b"not a pickle")
     reread = Project.from_paths([f], cache=cache)
@@ -134,7 +134,7 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
 
 
 def test_cache_salt_names_python_version():
-    salt = ast_cache_salt()
+    salt = AstCache("unused").generation.name
     import sys
 
     assert f"py{sys.version_info[0]}.{sys.version_info[1]}" in salt

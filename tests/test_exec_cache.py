@@ -132,90 +132,6 @@ def test_invalidate_and_clear(tmp_path):
     assert len(cache) == 0
 
 
-# -- flat-layout migration --------------------------------------------------
-
-def _flat_entry(cache, lib=None):
-    """Plant one entry in the legacy flat layout; returns (fp, result)."""
-    lib = lib if lib is not None else RawTcp()
-    fp = SweepRequest(lib.display_name, lib, CFG, sizes=SIZES).fingerprint()
-    result = run_netpipe(lib, CFG, sizes=SIZES)
-    from repro.core.io import save_result
-
-    save_result(result, cache.flat_path_for(fp))
-    return fp, result
-
-
-def test_flat_entry_is_a_hit_and_promotes_into_its_shard(tmp_path):
-    cache = SweepCache(tmp_path)
-    fp, result = _flat_entry(cache)
-    assert cache.shard_counts() == {"": 1}
-
-    hit = cache.get(fp)  # read through the migration shim
-    assert hit is not None
-    assert [(p.size, p.oneway_time) for p in hit.points] == [
-        (p.size, p.oneway_time) for p in result.points
-    ]
-    assert cache.hits == 1 and cache.migrated == 1
-    assert cache.path_for(fp).exists()
-    assert not cache.flat_path_for(fp).exists()
-    assert cache.shard_counts() == {fp[:2]: 1}
-    # Subsequent reads take the sharded fast path.
-    assert cache.get(fp) is not None and cache.migrated == 1
-
-
-def test_sharded_entry_shadows_a_stale_flat_one(tmp_path):
-    """When both layouts hold the fingerprint, the sharded entry wins
-    and the flat file is left alone (content addressing makes them
-    identical in practice; precedence must still be deterministic)."""
-    cache = SweepCache(tmp_path)
-    fp, result = _flat_entry(cache)
-    cache.put(fp, result)  # sharded copy too
-    assert cache.get(fp) is not None
-    assert cache.migrated == 0  # no promotion was needed
-    assert cache.flat_path_for(fp).exists()
-    assert len(cache) == 2  # both counted until housekeeping
-    assert cache.invalidate(fp) is True  # drops both layouts
-    assert len(cache) == 0
-
-
-def test_migrate_flat_bulk_promotion(tmp_path):
-    cache = SweepCache(tmp_path)
-    fps = []
-    for lib in (RawTcp(), Mpich.tuned()):
-        fp, _ = _flat_entry(cache, lib)
-        fps.append(fp)
-    assert cache.shard_counts() == {"": 2}
-
-    assert cache.migrate_flat() == 2
-    assert cache.migrated == 2
-    counts = cache.shard_counts()
-    assert "" not in counts and sum(counts.values()) == 2
-    for fp in fps:
-        assert cache.path_for(fp).exists()
-        assert cache.get(fp) is not None
-    assert cache.migrate_flat() == 0  # idempotent
-
-
-def test_corrupt_flat_entry_is_a_miss_not_a_migration(tmp_path):
-    cache = SweepCache(tmp_path)
-    fp, _ = _flat_entry(cache)
-    cache.flat_path_for(fp).write_text("{not json")
-    assert cache.get(fp) is None
-    assert cache.corrupt == 1 and cache.migrated == 0
-    assert cache.flat_path_for(fp).exists()  # left for inspection
-
-
-def test_clear_and_len_cover_both_layouts(tmp_path):
-    cache = SweepCache(tmp_path)
-    flat_fp, result = _flat_entry(cache)
-    other = SweepRequest("m", Mpich.tuned(), CFG, sizes=SIZES).fingerprint()
-    cache.put(other, run_netpipe(Mpich.tuned(), CFG, sizes=SIZES))
-    assert len(cache) == 2
-    assert cache.clear() == 2
-    assert len(cache) == 0
-    assert cache.shard_counts() == {}
-
-
 def test_from_env(tmp_path, monkeypatch):
     from repro.exec.cache import CACHE_DIR_ENV
 

@@ -249,10 +249,10 @@ def test_no_plan_means_no_events_and_single_attempts(baseline):
 
 
 def test_cache_write_failure_is_a_warning_not_an_error(tmp_path, monkeypatch, baseline):
-    def boom(result, path):
+    def boom(path, payload):
         raise OSError("disk full")
 
-    monkeypatch.setattr("repro.exec.cache.save_result", boom)
+    monkeypatch.setattr("repro.store.write_atomic", boom)
     cache = SweepCache(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -3,12 +3,10 @@
 The serving layer inherits the executor's hardening — these tests
 prove the inheritance holds end-to-end: a crashing or lying worker
 under a live query still produces the fault-free answer, and cache
-damage (corrupt entries, the legacy flat layout) degrades to a miss
-or a migration, never to a wrong curve.
+damage (a corrupt entry) degrades to a miss, never to a wrong curve.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -123,28 +121,3 @@ def test_corrupt_sharded_entry_reads_as_miss_and_is_repaired(
     assert stats["disk"]["corrupt"] == 1
     # The entry was repaired in place by the re-simulation's write.
     assert cache.get(response.fingerprint) is not None
-
-
-def test_flat_legacy_entry_migrates_through_the_serve_path(
-    tmp_path, baseline
-):
-    """An entry in the pre-shard flat layout is served as a disk hit
-    and promoted into its shard on the way — cache warmth survives the
-    layout change."""
-    root = tmp_path / "cache"
-    response, _ = _ask(ServeCore(cache=SweepCache(root), policy=_policy()))
-    fingerprint = response.fingerprint
-    sharded = SweepCache(root).path_for(fingerprint)
-    flat = SweepCache(root).flat_path_for(fingerprint)
-    os.replace(sharded, flat)  # regress the entry to the flat layout
-    os.rmdir(sharded.parent)
-
-    cache = SweepCache(root)
-    assert cache.shard_counts() == {"": 1}
-    served, stats = _ask(ServeCore(cache=cache, policy=_policy()))
-    assert _points(served.result) == baseline
-    assert served.source == "disk"  # warmth survived
-    assert stats["exec"]["simulated"] == 0
-    assert cache.migrated == 1
-    assert sharded.exists() and not flat.exists()
-    assert cache.shard_counts() == {fingerprint[:2]: 1}

@@ -104,7 +104,7 @@ def test_corrupt_cache_entry_degrades_to_a_miss(tmp_path):
     spec = get_library("mpich").spec
     key = entry_key("mpich", spec, (1,), 32, True)
     cache.put(key, {"library": "mpich"})
-    victim = cache._path(key)
+    victim = cache.path_for(key)
     victim.write_text("{not json")
     assert cache.get(key) is None
     assert cache.misses == 1
