@@ -11,7 +11,7 @@ Commands
 ``export``               write per-figure np.out/json curve files
 ``cpu``                  host-CPU availability per transport
 ``loopback``             live two-process NetPIPE over loopback TCP
-``check``                protocol-flow, dimension & determinism static analysis
+``check``                verify, dimension & determinism static analysis
 ``verify``               bounded model checking of library handshakes
 ``trace``                record a Chrome/Perfetto protocol trace
 ``serve``                what-if query service (newline-JSON over TCP)
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser(
-        "check", help="protocol-flow, dimension & determinism static analysis"
+        "check", help="verify, dimension & determinism static analysis"
     )
     p.add_argument(
         "check_args", nargs=argparse.REMAINDER, metavar="...",

@@ -15,13 +15,14 @@ checker or unit test sees:
 3. **Protocol pairing** — the mplib generator state machines exchange
    handshake legs by tag; an unmatched RTS/CTS or a symmetric
    blocking receive hangs (or silently skews) the simulated benchmark.
+   The ``verify`` family model-checks them with :mod:`repro.verify`.
 4. **Unit discipline** — everything is SI seconds/bytes/B-per-s; one
    unconverted paper µs/Mbps literal produces a wrong-but-plausible
    curve.
 
 ``repro.check`` enforces all four with a dependency-free AST analyzer.
 Per-file rule families live under :mod:`repro.check.rules`; the
-cross-module families (protocol-flow, dimension) run over the module
+cross-module families (verify, dimension) run over the module
 graph in :mod:`repro.check.project`, which also provides the
 content-digest-keyed AST cache.  Policy lives in
 :mod:`repro.check.config`, the CLI (``python -m repro check`` /

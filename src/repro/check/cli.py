@@ -71,7 +71,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description=(
-            "Determinism, protocol-flow and unit-dimension static "
+            "Determinism, verify and unit-dimension static "
             "analyzer for the repro simulation core "
             "(see docs/STATIC_ANALYSIS.md)."
         ),

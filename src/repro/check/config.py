@@ -123,17 +123,8 @@ DEFAULT_POLICY = Policy(
             "repro.obs", "repro.analytic", "repro.verify",
             "repro.serve", "repro.scenario",
         ),
-        # The generator state machines live in repro.mplib; handshake
-        # pairing and spec reachability are meaningless elsewhere.
-        # repro.faults is in scope too: its wire-fault plans name the
-        # same handshake tags the endpoints block on.  repro.serve
-        # relays typed errors derived from those flows, so it rides
-        # along (the rules simply find nothing to pair there).
-        # repro.scenario's background traffic shares the fabric the
-        # handshakes run over (and must never reuse their tags).
-        "protocol-flow": ("repro.mplib", "repro.faults", "repro.serve",
-                          "repro.scenario"),
-        # Semantic model checking of the same endpoint classes.
+        # Model checking of the endpoint handshakes: the generator
+        # state machines live in repro.mplib and nowhere else.
         "verify": ("repro.mplib",),
         # SI-unit discipline over the timing models.  Analysis and
         # reporting layers legitimately hold display units (to_us /

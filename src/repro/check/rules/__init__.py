@@ -17,7 +17,6 @@ from repro.check.rules import (
     determinism,
     dimension,
     fingerprint,
-    protocol,
     purity,
     verify,
     yields,
@@ -29,7 +28,7 @@ FAMILIES = (determinism, purity, yields, cache)
 #: Project-scope families: run once over the whole module graph.
 #: asyncsafety and fingerprint ride the interprocedural summaries in
 #: :mod:`repro.check.dataflow`.
-PROJECT_FAMILIES = (protocol, verify, dimension, asyncsafety, fingerprint)
+PROJECT_FAMILIES = (verify, dimension, asyncsafety, fingerprint)
 
 #: rule id -> (family name, description), for --list-rules and docs.
 RULES: dict[str, tuple[str, str]] = {

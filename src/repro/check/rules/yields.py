@@ -39,7 +39,7 @@ RULES = {
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _contains_yield(body: list[ast.stmt]) -> bool:
+def contains_yield(body: list[ast.stmt]) -> bool:
     """Yield/YieldFrom in this body, not counting nested scopes."""
     stack: list[ast.AST] = list(body)
     while stack:
@@ -81,7 +81,7 @@ class _Checker:
     ) -> None:
         nodes = list(_scope_statements(body))
         table = {
-            n.name: _contains_yield(n.body)
+            n.name: contains_yield(n.body)
             for n in nodes
             if isinstance(n, _FUNC_NODES)
         }
@@ -100,7 +100,7 @@ class _Checker:
         gens = {
             stmt.name
             for stmt in node.body
-            if isinstance(stmt, _FUNC_NODES) and _contains_yield(stmt.body)
+            if isinstance(stmt, _FUNC_NODES) and contains_yield(stmt.body)
         }
         for stmt in node.body:
             if isinstance(stmt, _FUNC_NODES):

@@ -27,7 +27,6 @@ SARIF_SCHEMA = (
 #: break the reproduction outright, dimension/purity slips degrade it.
 _FAMILY_LEVELS = {
     "driver": "error",
-    "protocol-flow": "error",
     "verify": "error",
     # An await race or an unsalted cache input silently corrupts served
     # answers — as load-bearing as a broken handshake.

@@ -1,7 +1,6 @@
 """Bounded model checking of mplib handshake state machines.
 
-The :mod:`repro.check` protocol-flow rules prove *syntactic* send/recv
-pairing; this package proves the *semantic* layer above it.  Each
+This package is the repo's one analyzer of send/recv handshakes.  Each
 endpoint generator (``TcpLibEndpoint.send`` and friends) is compiled —
 through the same AST layer ``repro.check`` uses — into an explicit
 bounded model whose transitions are channel sends, receives and
@@ -15,7 +14,8 @@ eager/rendezvous threshold (±1 byte), under four properties:
 ``threshold``
     sender and receiver agree on the size regime at every probe size;
 ``progress``
-    every handshake completes within a bounded number of hops;
+    every handshake completes within a bounded number of hops and
+    receives every message it sends;
 ``liveness``
     a spec claiming loss recovery (``recovers_from_loss``) must
     survive every single-message drop; specs that do not claim it
@@ -28,7 +28,8 @@ digests — the model's verdict ships with its engine confirmation.
 
 Entry points: ``python -m repro verify`` (:mod:`repro.verify.cli`),
 the ``verify-*`` rule family of ``repro check``
-(:mod:`repro.check.rules.verify`), and :func:`verify_universe` /
+(:mod:`repro.check.rules.verify`, which also flags branches no spec
+takes as ``verify-dead-branch``), and :func:`verify_universe` /
 :func:`verify_library` below.  See docs/VERIFICATION.md.
 """
 

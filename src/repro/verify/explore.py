@@ -68,13 +68,18 @@ class PairOutcome:
     completed: bool
     #: per-side op the side is blocked on (None = side finished)
     blocked: tuple[Op | None, Op | None]
-    #: tags of messages sent but never consumed
-    residual: tuple[str, ...]
     hops: int
     hop_overflow: bool
     #: (side, op) execution order, for the human-readable trace
     trace: tuple[tuple[int, Op], ...]
     dropped: tuple[str, ...] = ()
+    #: send ops whose messages were never consumed, in send order
+    unconsumed: tuple[Op, ...] = ()
+
+    @property
+    def residual(self) -> tuple[str, ...]:
+        """Tags of messages sent but never consumed, sorted."""
+        return tuple(sorted(op.tag or "data" for op in self.unconsumed))
 
     def render_trace(self) -> list[str]:
         names = ("sender", "receiver")
@@ -90,8 +95,9 @@ def run_pair(
     """Advance both sides to quiescence; see module docstring."""
     paths = (tuple(send_ops), tuple(recv_ops))
     idx = [0, 0]
-    # in-flight message multiset per originating side, keyed by tag
-    inflight: list[dict[str, int]] = [{}, {}]
+    # in-flight messages per originating side, keyed by tag: FIFO of
+    # (hop number, send op), so leftovers can name their send site
+    inflight: list[dict[str, list[tuple[int, Op]]]] = [{}, {}]
     sent: list[dict[str, int]] = [{}, {}]
     trace: list[tuple[int, Op]] = []
     dropped: list[str] = []
@@ -106,7 +112,7 @@ def run_pair(
         pool = inflight[1 - side]
         if op.tag is None:
             return any(pool.values())
-        return pool.get(op.tag, 0) > 0
+        return bool(pool.get(op.tag))
 
     def step(side: int) -> None:
         nonlocal hops
@@ -128,13 +134,13 @@ def run_pair(
                 return
             # CORRUPT keeps the tag intact on the wire (the payload is
             # damaged, not the envelope), so the model delivers it.
-            inflight[side][tag] = inflight[side].get(tag, 0) + 1
+            inflight[side].setdefault(tag, []).append((hops, op))
         elif op.kind == "recv":
             pool = inflight[1 - side]
             tag = op.tag
             if tag is None:
-                tag = min(t for t, n in pool.items() if n > 0)
-            pool[tag] -= 1
+                tag = min(t for t, queue in pool.items() if queue)
+            pool[tag].pop(0)
 
     overflow = False
     progress = True
@@ -154,22 +160,20 @@ def run_pair(
     blocked = tuple(
         None if done[s] else paths[s][idx[s]] for s in (0, 1)
     )
-    residual = tuple(
-        sorted(
-            tag
-            for side in (0, 1)
-            for tag, n in inflight[side].items()
-            for _ in range(n)
-        )
+    leftovers = sorted(
+        entry
+        for side in (0, 1)
+        for queue in inflight[side].values()
+        for entry in queue
     )
     return PairOutcome(
         completed=all(done),
         blocked=blocked,  # type: ignore[arg-type]
-        residual=residual,
         hops=hops,
         hop_overflow=overflow,
         trace=tuple(trace),
         dropped=tuple(dropped),
+        unconsumed=tuple(op for _, op in leftovers),
     )
 
 
@@ -274,6 +278,14 @@ def _anchors(outcome: PairOutcome) -> tuple[tuple[str, int, int], ...]:
             if loc not in seen:
                 seen.append(loc)
     return tuple(seen)
+
+
+def _sent_anchors(outcome: PairOutcome) -> tuple[tuple[str, int, int], ...]:
+    """Source location of the send behind the first unconsumed message."""
+    for op in outcome.unconsumed:
+        if op.path:
+            return ((op.path, op.line, op.col),)
+    return ()
 
 
 def _op_anchors(
@@ -407,6 +419,7 @@ def verify_pairing(
                             + ", ".join(outcome.residual)
                         ),
                         trace=tuple(outcome.render_trace()),
+                        anchors=_sent_anchors(outcome),
                         approx=approx,
                     ))
 

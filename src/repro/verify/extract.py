@@ -1,15 +1,16 @@
 """Compile mplib endpoint generators into bounded models.
 
-The extractor reuses the exact machinery the ``protocol-flow`` lint
-family uses to find endpoint classes (``send``/``recv`` both
-generators, methods resolved down the in-project MRO) and to classify
-channel operations — see the shared aliases at the bottom of
-:mod:`repro.check.rules.protocol`.  Where the lint rules flatten a
-method to a *set* of ops, the extractor preserves control flow: each
-method body becomes a step tree (:mod:`repro.verify.model`) whose
-branches carry guard-evaluation closures bound to the defining
-module's imports, the enclosing local bindings, and the class's helper
-predicates.
+An *endpoint class* is any project class whose ``send`` and ``recv``
+methods are both generators, with methods resolved down the in-project
+MRO over the :class:`repro.check.project.Project` graph — so a
+subclass inheriting one leg from a base in another file is compiled as
+a whole.  A *channel operation* is ``<x>.send/isend/recv(...)`` on
+anything but bare ``self``, tagged by its literal ``tag=`` keyword.
+
+The extractor preserves control flow: each method body becomes a step
+tree (:mod:`repro.verify.model`) whose branches carry
+guard-evaluation closures bound to the defining module's imports, the
+enclosing local bindings, and the class's helper predicates.
 
 Generator ``self.<helper>()`` calls are inlined (their steps spliced
 in place, size parameters rebound through the call site); engine
@@ -22,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.check.rules import protocol as proto
+from repro.check.rules.yields import contains_yield
 from repro.verify.model import (
     SIZE,
     Binding,
@@ -33,7 +34,83 @@ from repro.verify.model import (
     Op,
     OpStep,
     Step,
+    self_method_call,
 )
+
+#: Default tag of repro.net.channel.Endpoint.send/recv when the call
+#: site passes none.
+_DEFAULT_TAG = "data"
+
+
+class EndpointClass:
+    """One class with its full (inheritance-resolved) method table."""
+
+    def __init__(self, ctx, node: ast.ClassDef):
+        self.ctx = ctx
+        self.node = node
+        #: method name -> (defining ModuleContext, FunctionDef)
+        self.methods: dict[str, tuple] = {}
+
+    def method(self, name: str) -> tuple | None:
+        return self.methods.get(name)
+
+
+def collect_classes(project) -> list[EndpointClass]:
+    """Every project class, methods merged down the in-project MRO."""
+
+    def methods_of(ctx, node: ast.ClassDef, depth: int = 0) -> dict:
+        table: dict = {}
+        if depth <= 8:
+            for base in node.bases:
+                resolved = project.resolve_base_class(ctx, base)
+                if resolved is not None:
+                    for name, entry in methods_of(
+                        resolved.ctx, resolved.node, depth + 1
+                    ).items():
+                        table.setdefault(name, entry)
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                table[stmt.name] = (ctx, stmt)
+        return table
+
+    out = []
+    for ctx, node in project.iter_classes():
+        cls = EndpointClass(ctx, node)
+        cls.methods = methods_of(ctx, node)
+        out.append(cls)
+    return out
+
+
+def is_endpoint(cls: EndpointClass) -> bool:
+    """Is ``cls`` an endpoint: are both send and recv generators?"""
+    for name in ("send", "recv"):
+        entry = cls.method(name)
+        if entry is None or not contains_yield(entry[1].body):
+            return False
+    return True
+
+
+def classify_channel_call(call: ast.Call) -> tuple[str, str | None] | None:
+    """(direction, tag) when ``call`` is a channel send/recv, else None.
+
+    The tag is None when not a literal (it then matches anything).
+    ``self.send(...)`` is the protocol method itself, not the
+    underlying channel endpoint, so a bare ``self`` receiver is no op.
+    """
+    func = call.func
+    if not isinstance(func, ast.Attribute) or self_method_call(call):
+        return None
+    if func.attr in ("send", "isend"):
+        direction = "send"
+    elif func.attr == "recv":
+        direction = "recv"
+    else:
+        return None
+    tag: str | None = _DEFAULT_TAG
+    for kw in call.keywords:
+        if kw.arg == "tag":
+            tag = kw.value.value if isinstance(kw.value, ast.Constant) else None
+    return direction, tag
 
 
 @dataclass
@@ -54,14 +131,14 @@ class EndpointModel:
 def iter_endpoint_models(project) -> list[EndpointModel]:
     """Compile every endpoint class in ``project``."""
     out = []
-    for cls in proto.collect_classes(project):
-        if proto.is_endpoint(cls):
+    for cls in collect_classes(project):
+        if is_endpoint(cls):
             out.append(compile_endpoint(project, cls))
     return out
 
 
 def compile_endpoint(project, cls) -> EndpointModel:
-    """Compile one :class:`~repro.check.rules.protocol.EndpointClass`."""
+    """Compile one :class:`EndpointClass`."""
     legs: dict = {}
     locs: dict = {}
     for leg in ("send", "recv"):
@@ -123,9 +200,10 @@ class _Compiler:
 
                 then, _ = self._block(ctx, stmt.body, env, visited)
                 orelse, _ = self._block(ctx, stmt.orelse, env, visited)
-                steps.append(
-                    BranchStep(make_eval(), then, orelse, line=stmt.lineno)
-                )
+                steps.append(BranchStep(
+                    make_eval(), then, orelse, path=ctx.path,
+                    line=stmt.lineno, col=stmt.col_offset + 1,
+                ))
                 continue
             if isinstance(stmt, (ast.For, ast.While)):
                 body, _ = self._block(ctx, stmt.body, env, visited)
@@ -171,16 +249,16 @@ class _Compiler:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             return  # nested definitions execute later, if ever
         if isinstance(node, ast.Call):
-            classified = proto.classify_channel_call(node)
+            classified = classify_channel_call(node)
             if classified is not None:
                 out.append(OpStep(self._op(ctx, node, *classified)))
             elif self._is_timeout(node):
                 out.append(OpStep(self._op(ctx, node, "timeout", None)))
             else:
-                helper = proto.self_method_call(node)
+                helper = self_method_call(node)
                 if helper and helper not in visited:
                     entry = self.cls.method(helper)
-                    if entry is not None and proto.is_generator(entry[1]):
+                    if entry is not None and contains_yield(entry[1].body):
                         out.extend(
                             self._inline(entry[0], entry[1], node, env,
                                          visited | {helper})

@@ -15,33 +15,35 @@ defines that IR and evaluates it for one concrete ``(spec, size)``:
   execute for a concrete spec and message size.
 
 Guard evaluation is three-valued (True / False / UNKNOWN) plus the
-spec-applicability verdict MISSING, exactly as in the
-``proto-dead-branch`` rule: a guard referencing a spec attribute the
-spec does not have means the *pairing* is meaningless (a TCP endpoint
-evaluated against a GM spec), and :class:`SpecNotApplicable` skips it.
-UNKNOWN guards explore both branches — a sound over-approximation,
-flagged ``approx`` on every resulting path.
+spec-applicability verdict MISSING: a guard referencing a spec
+attribute the spec does not have means the *pairing* is meaningless (a
+TCP endpoint evaluated against a GM spec), and :class:`SpecNotApplicable`
+skips it.  UNKNOWN guards explore both branches — a sound
+over-approximation, flagged ``approx`` on every resulting path.
 
-On top of the shared :func:`repro.check.rules.protocol.eval_test`
-machinery, the evaluator adds what guards inside generators actually
-need: the size parameter (``nbytes``), local variables bound earlier
-in the method (``large = self._is_large(nbytes)``), and calls to
-non-generator boolean helpers (``self._is_rendezvous(nbytes)``), which
-are interpreted over a restricted assign/return statement subset.
+:class:`GuardEvaluator` reads spec attributes (``spec.X`` /
+``self.spec.X``), enum members (``Route.DAEMON``), the size parameter
+(``nbytes``), local variables bound earlier in the method (``large =
+self._is_large(nbytes)``), and calls to non-generator boolean helpers
+(``self._is_rendezvous(nbytes)``), which are interpreted over a
+restricted assign/return statement subset.  Path enumeration can also
+report, per ``if``, whether its then-side was entered: the ``verify``
+check family's ``verify-dead-branch`` rule is built on that record.
 """
 
 from __future__ import annotations
 
 import ast
+import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.check.rules import protocol as proto
+from repro.check.rules.yields import contains_yield
 
 #: Guard verdict: truth value cannot be determined statically.
-UNKNOWN = proto.UNKNOWN
+UNKNOWN = object()
 #: Guard verdict: the spec lacks a referenced attribute entirely.
-MISSING = proto.MISSING
+MISSING = object()
 
 #: Hard ceiling on paths per (leg, spec, size); beyond it the model is
 #: not exhaustively explorable and verification reports verify-progress.
@@ -100,7 +102,9 @@ class BranchStep:
     evaluate: Callable[[object, int], object]
     then: tuple
     orelse: tuple
+    path: str = ""
     line: int = 0
+    col: int = 0
 
     def __hash__(self) -> int:  # evaluate closures are not hashable
         return id(self)
@@ -156,18 +160,127 @@ class Binding:
         self.env = env
 
 
+def self_method_call(call: ast.Call) -> str | None:
+    """Method name when ``call`` is ``self.<name>(...)``, else None."""
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "self"
+    ):
+        return func.attr
+    return None
+
+
+def _spec_attr(node: ast.AST) -> str | None:
+    """Attribute name for ``spec.X`` / ``self.spec.X`` receivers."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    value = node.value
+    if isinstance(value, ast.Name) and value.id == "spec":
+        return node.attr
+    if (
+        isinstance(value, ast.Attribute)
+        and value.attr == "spec"
+        and isinstance(value.value, ast.Name)
+        and value.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+class _EnumRef:
+    """A dotted reference to an enum member, matched structurally."""
+
+    def __init__(self, dotted: str) -> None:
+        parts = dotted.split(".")
+        self.cls = parts[-2]
+        self.member = parts[-1]
+
+    def matches(self, value: object) -> bool:
+        return (
+            isinstance(value, enum.Enum)
+            and type(value).__name__ == self.cls
+            and value.name == self.member
+        )
+
+
+def _enum_ref(node: ast.AST, imports) -> object:
+    """An enum-member operand (``Route.DAEMON``), else UNKNOWN.
+
+    Only class-like penultimate components count: a resolved module
+    attribute like ``math.inf`` is not an enum member.  The raw dotted
+    text covers enums defined in the *same* module, which the import
+    map cannot see.
+    """
+    dotted = imports.resolve(node) or _raw_chain(node)
+    if dotted is not None and "." in dotted:
+        if dotted.split(".")[-2][:1].isupper():
+            return _EnumRef(dotted)
+    return UNKNOWN
+
+
+def _raw_chain(node: ast.AST) -> str | None:
+    """Dotted text of a Name/Attribute chain, without import resolution."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _apply_compare(op: ast.cmpop, left: object, right: object) -> object:
+    """Evaluate one comparison over spec values (UNKNOWN on failure)."""
+    if isinstance(left, _EnumRef) or isinstance(right, _EnumRef):
+        ref, value = (
+            (left, right) if isinstance(left, _EnumRef) else (right, left)
+        )
+        if isinstance(value, _EnumRef):
+            return UNKNOWN
+        equal = ref.matches(value)
+        if isinstance(op, (ast.Is, ast.Eq)):
+            return equal
+        if isinstance(op, (ast.IsNot, ast.NotEq)):
+            return not equal
+        return UNKNOWN
+    try:
+        if isinstance(op, (ast.Is, ast.Eq)):
+            return left is right if right is None or left is None else left == right
+        if isinstance(op, (ast.IsNot, ast.NotEq)):
+            return (
+                left is not right
+                if right is None or left is None
+                else left != right
+            )
+        if left is None or right is None:
+            return UNKNOWN
+        if isinstance(op, ast.Lt):
+            return left < right
+        if isinstance(op, ast.LtE):
+            return left <= right
+        if isinstance(op, ast.Gt):
+            return left > right
+        if isinstance(op, ast.GtE):
+            return left >= right
+    except TypeError:
+        return UNKNOWN
+    return UNKNOWN
+
+
 class GuardEvaluator:
     """Evaluates guard expressions for one endpoint class.
 
-    Extends the spec-only evaluator shared with the lint rules
-    (:func:`repro.check.rules.protocol.eval_test`) with the pieces a
-    *model* needs: the concrete message size, lazily bound locals, and
+    Besides constants, spec attributes and enum members, a *model*
+    needs the concrete message size, lazily bound locals, and
     interpretation of non-generator ``self.<helper>()`` predicates
     (restricted to docstring / simple assignments / a return).
     """
 
     def __init__(self, cls, imports) -> None:
-        self.cls = cls  # proto.EndpointClass
+        self.cls = cls  # repro.verify.extract.EndpointClass
         self.imports = imports
 
     # -- entry point ---------------------------------------------------------
@@ -188,7 +301,7 @@ class GuardEvaluator:
             return UNKNOWN
         if isinstance(node, ast.Constant):
             return node.value
-        attr = proto.spec_attr(node)
+        attr = _spec_attr(node)
         if attr is not None:
             return getattr(spec, attr, MISSING)
         if isinstance(node, ast.Name):
@@ -216,14 +329,14 @@ class GuardEvaluator:
                 return MISSING
             if UNKNOWN in (left, right):
                 return UNKNOWN
-            return proto.apply_compare(node.ops[0], left, right)
+            return _apply_compare(node.ops[0], left, right)
         if isinstance(node, ast.BinOp):
             return self._bin_op(node, env, spec, size, depth)
         if isinstance(node, ast.Call):
             return self._call(node, env, spec, size, depth)
         if isinstance(node, ast.Attribute):
             # Not a spec attribute: maybe an enum reference.
-            return proto.eval_operand(node, spec, self.imports)
+            return _enum_ref(node, self.imports)
         return UNKNOWN
 
     def _bool_op(self, node: ast.BoolOp, env: dict, spec: object, size: int,
@@ -271,11 +384,11 @@ class GuardEvaluator:
 
     def _call(self, node: ast.Call, env: dict, spec: object, size: int,
               depth: int) -> object:
-        helper = proto.self_method_call(node)
+        helper = self_method_call(node)
         if helper is None or node.keywords:
             return UNKNOWN
         entry = self.cls.method(helper)
-        if entry is None or proto.is_generator(entry[1]):
+        if entry is None or contains_yield(entry[1].body):
             return UNKNOWN
         fn = entry[1]
         params = [a.arg for a in fn.args.args[1:]]  # drop self
@@ -325,13 +438,17 @@ def enumerate_paths(
     *,
     unroll: int = LOOP_UNROLL,
     max_paths: int = MAX_PATHS,
+    branches: dict | None = None,
 ) -> list[ModelPath]:
     """All op sequences through ``steps`` for one (spec, size).
 
     Raises :class:`SpecNotApplicable` when a guard references an
     attribute the spec lacks, :class:`PathExplosion` past ``max_paths``.
+    ``branches``, when given, records every ``if`` the enumeration
+    reaches, keyed by its ``(path, line, col)``: True once some
+    evaluation entered the then-side (guard True or UNKNOWN).
     """
-    results = _expand(tuple(steps), spec, size, unroll, max_paths)
+    results = _expand(tuple(steps), spec, size, unroll, max_paths, branches)
     return [ModelPath(ops, approx) for ops, approx, _halted in results]
 
 
@@ -347,7 +464,8 @@ def _dedupe(
 
 
 def _branch_suffixes(
-    step: "BranchStep", spec: object, size: int, unroll: int, max_paths: int
+    step: "BranchStep", spec: object, size: int, unroll: int, max_paths: int,
+    branches: dict | None,
 ) -> list[tuple[tuple[Op, ...], bool, bool]]:
     """Expansions of one branch step (both sides when UNKNOWN).
 
@@ -357,12 +475,15 @@ def _branch_suffixes(
     side are over-approximations.
     """
     verdict = step.evaluate(spec, size)
+    if branches is not None:
+        key = (step.path, step.line, step.col)
+        branches[key] = branches.get(key, False) or verdict is not False
     if verdict is True:
-        return _expand(step.then, spec, size, unroll, max_paths)
+        return _expand(step.then, spec, size, unroll, max_paths, branches)
     if verdict is False:
-        return _expand(step.orelse, spec, size, unroll, max_paths)
-    then = _expand(step.then, spec, size, unroll, max_paths)
-    orelse = _expand(step.orelse, spec, size, unroll, max_paths)
+        return _expand(step.orelse, spec, size, unroll, max_paths, branches)
+    then = _expand(step.then, spec, size, unroll, max_paths, branches)
+    orelse = _expand(step.orelse, spec, size, unroll, max_paths, branches)
     then_keys = {(ops, halted) for ops, _, halted in then}
     else_keys = {(ops, halted) for ops, _, halted in orelse}
     out = []
@@ -373,7 +494,8 @@ def _branch_suffixes(
 
 
 def _expand(
-    steps: tuple, spec: object, size: int, unroll: int, max_paths: int
+    steps: tuple, spec: object, size: int, unroll: int, max_paths: int,
+    branches: dict | None,
 ) -> list[tuple[tuple[Op, ...], bool, bool]]:
     results: list[tuple[tuple[Op, ...], bool, bool]] = [((), False, False)]
     for step in steps:
@@ -388,11 +510,13 @@ def _expand(
                 nxt.append((ops, approx, True))
             elif isinstance(step, BranchStep):
                 for sub_ops, sub_approx, sub_halt in _branch_suffixes(
-                    step, spec, size, unroll, max_paths
+                    step, spec, size, unroll, max_paths, branches
                 ):
                     nxt.append((ops + sub_ops, approx or sub_approx, sub_halt))
             elif isinstance(step, LoopStep):
-                body = _expand(step.body, spec, size, unroll, max_paths)
+                body = _expand(
+                    step.body, spec, size, unroll, max_paths, branches
+                )
                 variants: list[tuple[tuple[Op, ...], bool, bool]] = [
                     ((), False, False)  # zero iterations
                 ]

@@ -3,7 +3,7 @@
 
 ``TcpLibSpec.__post_init__`` rejects negative ``header_bytes`` and
 ``OsBypassSpec`` defaults are non-negative too, so the guarded stall
-below is dead code under every tuned and variant configuration in
+(``verify-dead-branch``) is dead code under every configuration in
 :func:`repro.mplib.registry.iter_spec_universe`.  The handshake legs
 themselves are fully paired and the active side sends first.
 """
@@ -19,7 +19,7 @@ class DeadBranchEndpoint:
 
     def send(self, nbytes):
         spec = self.spec
-        if spec.header_bytes < 0:  # proto-dead-branch: never satisfiable
+        if spec.header_bytes < 0:  # verify-dead-branch: never satisfiable
             yield self.engine.timeout(spec.latency_adder)
         yield from self.ep.send(spec.header_bytes, tag="rts")
         yield from self.ep.recv(tag="cts")

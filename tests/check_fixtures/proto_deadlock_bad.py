@@ -1,10 +1,10 @@
 # repro: module=repro.mplib.fixture_proto_deadlock_bad
 """Seeded mutant: both protocol legs block on a receive first.
 
-Every tag is perfectly paired (so ``proto-unmatched`` stays quiet),
-but send() waits for a 'go' token that recv() only sends *after* its
-own receive completes — with both ranks parked on a receive, neither
-ever sends, and the simulated benchmark hangs.
+Every tag is perfectly paired, but send() waits for a 'go' token that
+recv() only sends *after* its own receive completes — with both ranks
+parked on a receive, neither ever sends, the simulated benchmark
+hangs, and ``verify-deadlock`` reports the sender's blocked receive.
 """
 
 
@@ -15,7 +15,7 @@ class DeadlockingEndpoint:
         self.ep = endpoint
 
     def send(self, nbytes):
-        yield from self.ep.recv(tag="go")  # proto-deadlock: recv-first
+        yield from self.ep.recv(tag="go")  # verify-deadlock: recv-first
         yield from self.ep.send(nbytes, tag="data")
 
     def recv(self, nbytes):

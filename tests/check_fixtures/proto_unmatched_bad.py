@@ -2,9 +2,9 @@
 """Seeded mutant: rendezvous endpoint whose CTS reply leg was deleted.
 
 The active side sends RTS and blocks on CTS; the passive side consumes
-the RTS but never answers — exactly the handshake-pairing slip
-``proto-unmatched`` exists to catch.  Nothing else is wrong: the
-active side sends first (no deadlock) and there are no spec branches.
+the RTS but never answers, so ``verify-deadlock`` reports the sender
+blocked on CTS.  Nothing else is wrong: the active side sends first
+and there are no spec branches.
 """
 
 
@@ -17,7 +17,7 @@ class BrokenRendezvousEndpoint:
 
     def send(self, nbytes):
         yield from self.ep.send(self.spec.header_bytes, tag="rts")
-        yield from self.ep.recv(tag="cts")  # proto-unmatched: no reply leg
+        yield from self.ep.recv(tag="cts")  # verify-deadlock: no reply leg
         yield from self.ep.send(nbytes, tag="data")
 
     def recv(self, nbytes):

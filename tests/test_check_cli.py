@@ -123,7 +123,7 @@ def test_sarif_output_shape(capsys):
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-check"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"proto-unmatched", "dim-mixed", "det-wallclock"} <= rule_ids
+    assert {"verify-deadlock", "dim-mixed", "det-wallclock"} <= rule_ids
     results = run["results"]
     assert len(results) == 3
     for result in results:

@@ -12,12 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.check import Project
-from repro.check.dataflow import (
-    Dataflow,
-    FunctionSummary,
-    SummaryCache,
-    summarize_module,
-)
+from repro.check.dataflow import Dataflow
 from repro.check.project import AstCache
 from repro.check.rules.asyncsafety import is_blocking_primitive
 
@@ -214,26 +209,6 @@ def test_single_file_edit_resummarizes_only_that_module(tmp_path):
     assert p3.changed_paths == {str(edited)}
     assert p3.stats.summaries_computed == 1
     assert p3.stats.summaries_reused == p3.stats.files - 1
-
-
-def test_summary_cache_round_trips_and_rejects_corrupt(tmp_path):
-    project = Project.from_source(
-        "async def go(q):\n    await q.get()\n",
-        module="repro.serve.fixture_flow",
-        derive=False,
-    )
-    ctx = project.modules[0]
-    summaries = summarize_module(ctx, project.imports_of(ctx))
-    cache = SummaryCache(tmp_path)
-    cache.put("ab" * 32, summaries)
-    loaded = cache.get("ab" * 32)
-    assert loaded == summaries
-    assert all(isinstance(s, FunctionSummary) for s in loaded)
-    # Corruption is a miss, never an error.
-    entry = cache.path_for("ab" * 32)
-    entry.write_text("{not json")
-    assert cache.get("ab" * 32) is None
-    assert cache.get("cd" * 32) is None
 
 
 def test_dataflow_is_memoized_per_project():

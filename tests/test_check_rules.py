@@ -175,43 +175,53 @@ def test_parse_error_is_a_finding():
     assert findings[0].line >= 1
 
 
-# -- protocol-flow ------------------------------------------------------------
+# -- protocol mutants (verify family) ------------------------------------------
 
+@pytest.mark.verify
 def test_proto_unmatched_fires_on_deleted_cts_leg():
     name = "proto_unmatched_bad.py"
-    found = rules_with_lines(name)
-    # The semantic verify-* family sees the same bug; the syntactic
-    # verdict must be exactly the one seeded marker.
-    assert [f for f in found if f[0].startswith("proto-")] == [
-        ("proto-unmatched", fixture_line(name, "# proto-unmatched: no reply leg")),
+    # The missing CTS reply leg leaves the sender blocked on it.
+    assert rules_with_lines(name) == [
+        ("verify-deadlock", fixture_line(name, "# verify-deadlock: no reply leg")),
     ]
-    assert "verify-deadlock" in {rule for rule, _ in found}
 
 
+@pytest.mark.verify
 def test_proto_deadlock_fires_on_symmetric_blocking_recv():
     name = "proto_deadlock_bad.py"
-    found = rules_with_lines(name)
-    assert [f for f in found if f[0].startswith("proto-")] == [
-        ("proto-deadlock", fixture_line(name, "# proto-deadlock: recv-first")),
+    assert rules_with_lines(name) == [
+        ("verify-deadlock", fixture_line(name, "# verify-deadlock: recv-first")),
     ]
 
 
+@pytest.mark.verify
 def test_proto_dead_branch_fires_on_unsatisfiable_spec_guard():
     name = "proto_deadbranch_bad.py"
     found = rules_with_lines(name)
     assert found == [
-        ("proto-dead-branch",
-         fixture_line(name, "# proto-dead-branch: never satisfiable")),
+        ("verify-dead-branch",
+         fixture_line(name, "# verify-dead-branch: never satisfiable")),
     ]
 
 
+@pytest.mark.verify
+def test_unreceived_send_fires_verify_progress_at_the_send():
+    name = "proto_unreceived_bad.py"
+    assert rules_with_lines(name) == [
+        ("verify-progress",
+         fixture_line(name, "# verify-progress: never received")),
+    ]
+
+
+@pytest.mark.verify
 def test_paired_endpoint_with_reachable_branches_is_clean():
     assert rules("proto_good.py") == []
 
 
+@pytest.mark.verify
 def test_protocol_rules_scope_to_mplib_only():
     # The identical broken endpoint declared under repro.analysis is out
-    # of protocol-flow's policy scope and must stay silent.
+    # of the verify family's policy scope and must stay silent.
     source = (FIXTURES / "proto_unmatched_bad.py").read_text().replace(
         "# repro: module=repro.mplib.fixture_proto_unmatched_bad",
         "# repro: module=repro.analysis.fixture_proto_unmatched_bad",

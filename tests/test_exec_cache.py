@@ -96,42 +96,6 @@ def test_cache_layout_fans_out_by_prefix(tmp_path):
     assert len(cache) == 1
 
 
-def test_corrupt_cache_file_is_a_miss(tmp_path):
-    cache = SweepCache(tmp_path)
-    fp = SweepRequest("x", RawTcp(), CFG, sizes=SIZES).fingerprint()
-    result = run_netpipe(RawTcp(), CFG, sizes=SIZES)
-    path = cache.put(fp, result)
-
-    # Truncation (the failure mode atomic writes prevent upstream).
-    path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    assert cache.get(fp) is None
-    assert cache.corrupt == 1
-
-    # Valid JSON, wrong document type.
-    path.write_text('{"format": "something-else"}')
-    assert cache.get(fp) is None
-    assert cache.corrupt == 2
-
-    # put() repairs the slot.
-    cache.put(fp, result)
-    assert cache.get(fp) is not None
-
-
-def test_invalidate_and_clear(tmp_path):
-    cache = SweepCache(tmp_path)
-    fps = []
-    for lib in (RawTcp(), Mpich.tuned()):
-        fp = SweepRequest(lib.display_name, lib, CFG, sizes=SIZES).fingerprint()
-        cache.put(fp, run_netpipe(lib, CFG, sizes=SIZES))
-        fps.append(fp)
-    assert len(cache) == 2
-    assert cache.invalidate(fps[0]) is True
-    assert cache.invalidate(fps[0]) is False
-    assert len(cache) == 1
-    assert cache.clear() == 1
-    assert len(cache) == 0
-
-
 def test_from_env(tmp_path, monkeypatch):
     from repro.exec.cache import CACHE_DIR_ENV
 

@@ -54,11 +54,27 @@ def test_every_analyzed_source_module_resolves_a_name():
 
 
 def test_protocol_flow_scopes_to_mplib_only():
-    # Endpoint state machines live in repro.mplib; pairing analysis on
-    # anything else would only produce noise.
-    assert DEFAULT_POLICY.family_applies("protocol-flow", "repro.mplib.tcp_base")
+    # Endpoint state machines live in repro.mplib; model checking
+    # handshakes anywhere else would only produce noise.
+    assert DEFAULT_POLICY.family_applies("verify", "repro.mplib.tcp_base")
     for module in ("repro.net.tcp", "repro.sim.engine", "repro.analysis.fit"):
-        assert not DEFAULT_POLICY.family_applies("protocol-flow", module)
+        assert not DEFAULT_POLICY.family_applies("verify", module)
+
+
+def test_policy_names_only_registered_families():
+    # family_applies reads a family missing from family_scopes as "run
+    # everywhere", so a stale or renamed key would fail silently.
+    from repro.check.rules import FAMILIES, PROJECT_FAMILIES
+    from repro.check.sarif import _FAMILY_LEVELS
+
+    families = {family.FAMILY for family in FAMILIES + PROJECT_FAMILIES}
+    for table in (
+        DEFAULT_POLICY.family_scopes,
+        DEFAULT_POLICY.family_exemptions,
+        _FAMILY_LEVELS,
+    ):
+        assert set(table) <= families | {"driver"}, table
+    assert families <= set(DEFAULT_POLICY.family_scopes)
 
 
 def test_dimension_scope_is_the_modelled_physics():

@@ -133,9 +133,10 @@ def test_wrong_shape_payload_is_a_miss(tmp_path, ns):
     store = ns.cls(tmp_path)
     path = store.path_for(KEY)
     path.parent.mkdir(parents=True)
-    path.write_bytes(ns.wrong_shape)
-    assert store.get(KEY) is None
-    assert store.corrupt == 1 and store.hits == 0
+    for n, payload in enumerate((ns.wrong_shape, b"{not json"), start=1):
+        path.write_bytes(payload)
+        assert store.get(KEY) is None
+        assert store.corrupt == n and store.misses == n and store.hits == 0
 
 
 def test_unwritable_root_is_harmless(tmp_path, ns):

@@ -66,6 +66,15 @@ def test_unconsumed_message_is_residual():
     outcome = run_pair((_send("data"), _send("extra")), (_recv("data"),))
     assert outcome.completed
     assert "extra" in outcome.residual
+    # Leftovers name their send sites in send order, FIFO per tag: of
+    # two 'data' sends and one receive, the second is left over.
+    sends = tuple(
+        Op(kind="send", tag=tag, path="x.py", line=line, col=1)
+        for tag, line in (("fin", 10), ("data", 11), ("data", 12))
+    )
+    outcome = run_pair(sends, (_recv("data"),))
+    assert outcome.residual == ("data", "fin")
+    assert [op.line for op in outcome.unconsumed] == [10, 12]
 
 
 def test_hop_bound_flags_runaway_pairs():

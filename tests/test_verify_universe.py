@@ -9,12 +9,7 @@ a warm digest-cached pass re-explores nothing.
 import pytest
 
 from repro.mplib.registry import REGISTRY, VARIANTS, get_library
-from repro.verify import (
-    VerdictCache,
-    entry_key,
-    sizes_for_spec,
-    verify_universe,
-)
+from repro.verify import entry_key, sizes_for_spec, verify_universe
 from repro.verify.universe import default_config_for
 
 pytestmark = pytest.mark.verify
@@ -97,14 +92,3 @@ def test_entry_key_tracks_every_exploration_input():
     # positional callers.
     assert entry_key("mpich", spec, (1, 2), 32, True, with_replay=True) == base
     assert entry_key("mpich", spec, (1, 2), 32, True, with_replay=False) != base
-
-
-def test_corrupt_cache_entry_degrades_to_a_miss(tmp_path):
-    cache = VerdictCache(tmp_path / "v")
-    spec = get_library("mpich").spec
-    key = entry_key("mpich", spec, (1,), 32, True)
-    cache.put(key, {"library": "mpich"})
-    victim = cache.path_for(key)
-    victim.write_text("{not json")
-    assert cache.get(key) is None
-    assert cache.misses == 1
