@@ -4,13 +4,15 @@
 so its cost is dominated by ``ast.parse`` over ~100 files.  The
 content-addressed AST cache (:class:`repro.check.project.AstCache`)
 keys pickled module trees by file digest, so an unchanged tree costs
-one hash + one unpickle per file on re-run.  This bench makes two
-claims machine-checkable:
+one hash + one unpickle per file on re-run; the findings memo beside
+it then answers the whole run without running a rule family.  This
+bench makes two claims machine-checkable:
 
 * a warm re-run parses **zero** unchanged files (the stats counters
   prove it — this is the structural claim, independent of host speed);
-* warm wall time beats cold wall time (hash+unpickle is cheaper than
-  ``ast.parse`` at any clock rate).
+* warm wall time beats cold wall time (hash+unpickle plus one memo
+  read is cheaper than ``ast.parse`` and every family at any clock
+  rate).
 
 The numbers land in docs/PERFORMANCE.md.
 """

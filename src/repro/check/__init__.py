@@ -24,10 +24,10 @@ checker or unit test sees:
 Per-file rule families live under :mod:`repro.check.rules`; the
 cross-module families (verify, dimension) run over the module
 graph in :mod:`repro.check.project`, which also provides the
-content-digest-keyed AST cache.  Policy lives in
-:mod:`repro.check.config`, the CLI (``python -m repro check`` /
-``repro-check``, with ``--rules`` selection and SARIF output) in
-:mod:`repro.check.cli`.  See docs/STATIC_ANALYSIS.md for the rule
+content-digest-keyed AST cache and the whole-run findings memo.
+Policy lives in :mod:`repro.check.config`, the CLI (``python -m
+repro check`` / ``repro-check``, with ``--rules`` selection and SARIF
+output) in :mod:`repro.check.cli`.  See docs/STATIC_ANALYSIS.md for the rule
 catalog and suppression syntax.
 """
 

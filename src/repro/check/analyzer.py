@@ -256,7 +256,27 @@ def analyze_project(
     findings to those paths and runs per-module families only on them;
     project-scope families still see the whole graph — a cross-module
     property needs the full universe even when only one file moved.
+
+    A project built with an AST cache memoises the result in its
+    :class:`~repro.check.project.FindingsCache`: a run whose files,
+    policy and selections all match a stored one returns the stored
+    findings without running any family.
     """
+    from repro.check.project import findings_key
+
+    memo = project.findings_cache
+    if memo is None:
+        return _run_families(project, policy, rules, only_paths)
+    key = findings_key(project, policy, rules, only_paths)
+    findings = memo.get(key)
+    if findings is None:
+        findings = _run_families(project, policy, rules, only_paths)
+        memo.put(key, findings)
+    return findings
+
+
+def _run_families(project, policy, rules, only_paths) -> list[Finding]:
+    """:func:`analyze_project` without the memo."""
     from repro.check.rules import FAMILIES, PROJECT_FAMILIES, RULES
 
     def selected(family) -> bool:

@@ -31,9 +31,10 @@ content digest that keys the pickled AST also keys the summary list
 (same generation directory, same invalidation story — editing any
 ``check`` source starts a fresh generation, editing one analyzed
 module re-summarizes only that module).  The interprocedural closure
-(:class:`Dataflow`) is recomputed from summaries on every run; it is
-dictionary lookups, not parsing, and stays well inside the warm-run
-budget.
+(:class:`Dataflow`) is recomputed from summaries on every run that
+the findings memo (:class:`~repro.check.project.FindingsCache`) does
+not answer; it is dictionary lookups, not parsing, and stays well
+inside the warm-run budget.
 
 Resolution is best-effort and *sound for the rules built on it*: a
 call that cannot be resolved (a method on an arbitrary object, a
@@ -933,8 +934,8 @@ class Dataflow:
     Build once per analysis run (:meth:`repro.check.project.Project.
     dataflow` memoizes).  Summaries come from the per-file cache when
     the project was loaded with one; the cross-module index and
-    transitive closures are always recomputed — they are the cheap
-    part.
+    transitive closures are recomputed on every run the findings memo
+    misses — they are the cheap part.
     """
 
     def __init__(self, project) -> None:
@@ -952,8 +953,7 @@ class Dataflow:
     @classmethod
     def build(cls, project) -> "Dataflow":
         flow = cls(project)
-        cache = (SummaryCache(project.ast_cache.root)
-                 if project.ast_cache is not None else None)
+        cache = project.summary_cache
         for ctx in project.modules:
             digest = project.digest_by_path.get(ctx.path)
             summaries = None

@@ -11,15 +11,21 @@ chains — which a per-file analyzer cannot do.
 Parsing is the dominant cost of a whole-tree run, so the project can
 load trees from an :class:`AstCache` keyed by *content digest*, the
 SHA-256 of the file bytes: an unchanged tree re-runs with zero parses,
-and editing any analyzer source invalidates every cached tree.
+and editing any analyzer source invalidates every cached tree.  The
+same cache root holds the per-file function summaries and a
+:class:`FindingsCache`, which memoises a whole analysis run: an
+unchanged tree, analyzed under the same policy and selection, runs no
+rule family at all.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import json
 import pickle
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,6 +37,7 @@ from repro.check.analyzer import (
     iter_python_files,
     module_name_for_path,
 )
+from repro.check.config import Policy
 from repro.store import ContentStore
 
 
@@ -64,6 +71,71 @@ class AstCache(ContentStore):
     def put(self, digest: str, tree: ast.Module) -> Path | None:
         payload = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
         return self.write(digest, payload)
+
+
+class FindingsCache(ContentStore):
+    """The final findings of one analysis run, keyed by :func:`findings_key`.
+
+    The key names the analyzed files by content, so the generation must
+    name the analyzer by content too.  That is wider than the ``check``
+    package: the ``verify`` family model-checks against the running
+    program's spec universe (``repro.mplib``, ``repro.verify``) and the
+    dimension family reads ``repro.units``.  The salt is therefore the
+    whole installed ``repro`` tree, top-level modules included; editing
+    any of it abandons every memoised run.
+    """
+
+    suffix = ".findings.json"
+    version = "repro-findings-v1"
+    #: ``"."`` is the ``repro`` package directory itself.
+    salt_packages = (".",)
+
+    _FIELDS = {"path": str, "line": int, "col": int, "rule": str,
+               "message": str}
+
+    @classmethod
+    def _decode(cls, payload: bytes) -> list[Finding]:
+        findings = []
+        for entry in json.loads(payload)["findings"]:
+            if {k: type(v) for k, v in entry.items()} != cls._FIELDS:
+                raise ValueError(f"not a finding: {entry!r}")
+            findings.append(Finding(**entry))
+        return findings
+
+    def get(self, key: str) -> list[Finding] | None:
+        return self.read(key, self._decode)
+
+    def put(self, key: str, findings: list[Finding]) -> Path | None:
+        payload = json.dumps({"findings": [f.to_dict() for f in findings]})
+        return self.write(key, payload.encode())
+
+
+def findings_key(
+    project: "Project",
+    policy: Policy,
+    rules: frozenset[str] | set[str] | None,
+    only_paths: frozenset[str] | set[str] | None,
+) -> str:
+    """SHA-256 naming everything an analysis run's findings depend on.
+
+    That is every file :meth:`Project.from_paths` loaded, in load order,
+    by path, resolved module and content digest (parse failures
+    included), the policy, and the ``rules`` and ``only_paths``
+    selections; the program doing the analysis is named by
+    :class:`FindingsCache`'s generation.
+    """
+    from repro.exec.fingerprint import canonicalize
+
+    digests = project.digest_by_path
+    files = [(ctx.path, ctx.module, digests[ctx.path])
+             for ctx in project.modules]
+    files += [(err.path, None, digests[err.path]) for err in project.errors]
+    material = canonicalize((
+        files, policy,
+        None if rules is None else sorted(rules),
+        None if only_paths is None else sorted(only_paths),
+    ))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -133,9 +205,26 @@ class Project:
         #: Paths whose tree was *not* served by the AST cache this
         #: build — i.e. new or edited since the last cached run.
         self.changed_paths: set[str] = set()
-        #: The cache the project was built with (summaries share it).
+        #: The cache the project was built with (summaries and the
+        #: findings memo share its root).
         self.ast_cache: AstCache | None = None
         self._dataflow = None
+
+    @cached_property
+    def summary_cache(self):
+        """Per-file function summaries beside the AST cache, if any."""
+        if self.ast_cache is None:
+            return None
+        from repro.check.dataflow import SummaryCache
+
+        return SummaryCache(self.ast_cache.root)
+
+    @cached_property
+    def findings_cache(self) -> FindingsCache | None:
+        """The whole-run findings memo beside the AST cache, if any."""
+        if self.ast_cache is None:
+            return None
+        return FindingsCache(self.ast_cache.root)
 
     # -- construction ---------------------------------------------------------
 

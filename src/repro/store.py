@@ -1,8 +1,9 @@
 """One content-addressed on-disk store behind every cache in the repo.
 
-The sweep cache, scenario store, verdict cache, AST cache and summary
-cache are :class:`ContentStore` subclasses that bind only a file
-suffix, an optional generation salt and a typed ``get``/``put`` codec.
+The sweep cache, scenario store, verdict cache, AST cache, summary
+cache and findings memo are :class:`ContentStore` subclasses that
+bind only a file suffix, an optional generation salt and a typed
+``get``/``put`` codec.
 The semantics they share:
 
 * **layout** — ``<root>[/<generation>]/<key[:2]>/<key><suffix>``.  The

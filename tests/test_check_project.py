@@ -1,19 +1,31 @@
-"""The project graph and its content-addressed AST cache."""
+"""The project graph, its content-addressed AST cache and findings memo."""
 
 import ast
+import dataclasses
 import pickle
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.check.analyzer import analyze_project, analyze_paths
-from repro.check.project import AstCache, Project, file_digest
+from repro.check.config import DEFAULT_POLICY
+from repro.check.project import (
+    AstCache,
+    FindingsCache,
+    Project,
+    file_digest,
+    findings_key,
+)
+from repro.exec.fingerprint import source_digest
 from repro.verify.universe import build_models
 
 pytestmark = pytest.mark.check
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).resolve().parent / "check_fixtures"
 
 
 # -- module graph / cross-module resolution -----------------------------------
@@ -165,3 +177,138 @@ def test_tree_under_a_hidden_directory_is_still_found(tmp_path):
     assert sorted(Path(p).name for p in project.digest_by_path) == expected
     assert analyze_paths([mplib]) == []
     assert set(build_models([mplib])) == set(build_models()) != set()
+
+
+# -- findings memo ------------------------------------------------------------
+
+def _run(paths, cache, **kwargs):
+    project = Project.from_paths(paths, cache=cache)
+    return analyze_project(project, **kwargs), project
+
+
+def _tree(tmp_path):
+    """A private two-file copy of the corpus: one known-bad, one with
+    allow comments."""
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    for name in ("det_bad.py", "suppressed.py"):
+        (tree / name).write_text((FIXTURES / name).read_text())
+    return tree
+
+
+def _assert_miss(paths, cache, **kwargs):
+    """Analyze through the memo, which must miss, and check the result
+    against a fresh analysis with no cache at all."""
+    findings, project = _run(paths, cache, **kwargs)
+    memo = project.findings_cache
+    assert (memo.hits, memo.misses) == (0, 1)
+    assert findings == analyze_project(Project.from_paths(paths), **kwargs)
+    return findings
+
+
+@pytest.mark.parametrize("target", [SRC, FIXTURES],
+                         ids=["src", "check_fixtures"])
+def test_memo_serves_what_a_fresh_analysis_finds(tmp_path, target):
+    fresh = analyze_paths([target])
+    # The corpus is the case that matters: its findings are non-empty.
+    assert (fresh == []) == (target is SRC)
+    cache = AstCache(tmp_path / "ast")
+    cold, cold_project = _run([target], cache)
+    warm, warm_project = _run([target], cache)
+    assert cold == warm == fresh
+    assert cold_project.findings_cache.misses == 1
+    assert warm_project.findings_cache.hits == 1
+    # A hit runs no family: no dataflow, so no summary is touched.
+    assert warm_project._dataflow is None
+    assert warm_project.stats.summaries_computed == 0
+    assert warm_project.stats.summaries_reused == 0
+    assert warm_project.stats.parsed == 0
+
+
+def test_memo_misses_on_every_input_that_decides_findings(tmp_path):
+    tree = _tree(tmp_path)
+    cache = AstCache(tmp_path / "ast")
+    base = _assert_miss([tree], cache)
+    again, project = _run([tree], cache)
+    assert again == base and project.findings_cache.hits == 1
+
+    bad = tree / "det_bad.py"
+    text = bad.read_text()
+    # One byte: 'time' -> 'tame' retires a det-wallclock finding.
+    edited = text.replace("clock.time()", "clock.tame()")
+    assert len(edited) == len(text)
+    bad.write_text(edited)
+    assert _assert_miss([tree], cache) != base
+
+    # An added allow comment retires the det-random finding.
+    bad.write_text(edited.replace(
+        "random.random()  # det-random",
+        "random.random()  # repro: allow[det-random]"))
+    allowed = _assert_miss([tree], cache)
+    assert "det-random" not in {f.rule for f in allowed}
+
+    _assert_miss([tree], cache, rules=frozenset({"det-env"}))
+    _assert_miss([tree], cache,
+                 only_paths=frozenset({str(tree / "suppressed.py")}))
+    exempt = dataclasses.replace(DEFAULT_POLICY, rule_exemptions={
+        **DEFAULT_POLICY.rule_exemptions, "det-env": ("repro.sim",)})
+    assert _assert_miss([tree], cache, policy=exempt) != allowed
+
+    # Same bytes at a new path: findings are anchored by path.
+    bad.rename(tree / "moved_bad.py")
+    moved = _assert_miss([tree], cache)
+    assert str(tree / "moved_bad.py") in {f.path for f in moved}
+
+
+def test_corrupt_memo_entry_is_a_counted_miss(tmp_path):
+    tree = _tree(tmp_path)
+    cache = AstCache(tmp_path / "ast")
+    base, project = _run([tree], cache)
+    key = findings_key(project, DEFAULT_POLICY, None, None)
+    entry = project.findings_cache.path_for(key)
+    entry.write_bytes(entry.read_bytes()[:20])
+
+    again, project = _run([tree], cache)
+    memo = project.findings_cache
+    assert again == base
+    assert (memo.hits, memo.misses, memo.corrupt) == (0, 1, 1)
+    # The miss wrote the entry back whole.
+    third, project = _run([tree], cache)
+    assert third == base and project.findings_cache.hits == 1
+
+
+def test_readonly_cache_dir_degrades_to_plain_analysis(tmp_path):
+    tree = _tree(tmp_path)
+    blocked = tmp_path / "file-not-dir"
+    blocked.write_text("")
+    with pytest.warns(RuntimeWarning):
+        findings, project = _run([tree], AstCache(blocked / "nested"))
+    assert findings == analyze_paths([tree]) != []
+    memo = project.findings_cache
+    assert (memo.hits, memo.misses, memo.write_errors) == (0, 1, 1)
+
+
+def test_memo_salt_covers_every_repro_module_a_check_run_imports(tmp_path):
+    _run([SRC], AstCache(tmp_path / "ast"))
+    package = Path(repro.__file__).resolve().parent
+    salted = [(package / pkg).resolve()
+              for pkg in FindingsCache.salt_packages]
+    uncovered = sorted(
+        name for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and not any(Path(module.__file__).resolve().is_relative_to(root)
+                    for root in salted)
+    )
+    assert uncovered == []
+
+
+def test_memo_generation_moves_with_a_top_level_module(tmp_path):
+    # repro/units.py sits in no sub-package, yet the dimension family
+    # reads it: editing it must abandon every memoised run.
+    copy = tmp_path / "repro"
+    shutil.copytree(SRC / "repro", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = source_digest(copy, FindingsCache.salt_packages)
+    units = copy / "units.py"
+    units.write_text(units.read_text() + "\n")
+    assert source_digest(copy, FindingsCache.salt_packages) != before

@@ -1,6 +1,6 @@
 """One chaos suite for every content-addressed store namespace.
 
-Each of the five stores binds a codec to :class:`repro.store.
+Each of the six stores binds a codec to :class:`repro.store.
 ContentStore`; the layout, atomic writes, counters and failure policy
 are shared, so every test below runs once per namespace: round trips,
 truncated and wrong-shape entries, an unwritable root, housekeeping,
@@ -19,7 +19,8 @@ from typing import Any, Callable
 import pytest
 
 from repro.check.dataflow import SummaryCache, summarize_module
-from repro.check.project import AstCache, Project
+from repro.check.analyzer import Finding
+from repro.check.project import AstCache, FindingsCache, Project
 from repro.core.results import NetPipePoint, NetPipeResult
 from repro.exec import SweepCache
 from repro.scenario.result import FlowResult, ScenarioResult
@@ -87,6 +88,13 @@ NAMESPACES = {
     ),
     "summary": Namespace(
         SummaryCache, _summaries, b'{"version": "other", "functions": []}'),
+    "findings": Namespace(
+        FindingsCache,
+        lambda: [Finding("src/repro/sim/x.py", 3, 5, "det-wallclock",
+                         "use of 'time.time'")],
+        b'{"findings": [{"path": "x.py", "line": "3", "col": 1, '
+        b'"rule": "r", "message": "m"}]}',
+    ),
 }
 
 
