@@ -3,9 +3,10 @@
 Each generator injects raw fabric messages (tag
 :data:`~repro.scenario.spec.BACKGROUND_TAG`) from its participating
 source ranks, competing with the foreground workload for TX/RX ports
-and — on a two-tier tree — the shared uplinks.  Library protocol
-receives filter on their own tags, so background messages never get
-*matched* by the workload; they only steal wire time.
+and — on a two-tier tree — the shared uplinks.  They only steal wire
+time: each message holds its ports for its occupancy and is then
+dropped (``Fabric.send(..., deliver=False)``), never reaching an inbox,
+so no receive can match it and no inbox scan walks past it.
 
 ``rate`` is offered load as a fraction of one TX port: a generator
 paces each source so it occupies ``rate`` of its own link, using the
@@ -80,7 +81,8 @@ def _constant_source(
         t0 = engine.now
         dst = rng.next(nranks - 1)
         dst = dst if dst < src else dst + 1  # exclude self
-        yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG)
+        yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG,
+                               deliver=False)
         stats.messages += 1
         stats.bytes += size
         gap = period - (engine.now - t0)
@@ -110,7 +112,8 @@ def _onoff_source(
             t0 = engine.now
             dst = rng.next(nranks - 1)
             dst = dst if dst < src else dst + 1
-            yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG)
+            yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG,
+                                   deliver=False)
             stats.messages += 1
             stats.bytes += size
             gap = period - (engine.now - t0)
@@ -137,7 +140,8 @@ def _alltoall_source(
         t0 = engine.now
         dst = destinations[index % len(destinations)]
         index += 1
-        yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG)
+        yield from fabric.send(src, dst, size, tag=BACKGROUND_TAG,
+                               deliver=False)
         stats.messages += 1
         stats.bytes += size
         gap = period - (engine.now - t0)

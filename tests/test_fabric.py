@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import configs
-from repro.fabric import Fabric, PairEndpoint
+from repro.fabric import Fabric, PairEndpoint, TwoTierTree
 from repro.mplib import RawTcp
 from repro.sim import Engine
 from repro.units import MB, kb
@@ -216,3 +216,144 @@ def test_port_utilisation_finds_the_hotspot():
     assert rx[0] == max(rx)
     assert rx[0] > 0.8
     assert all(r < 0.5 for r in rx[2:])
+
+
+# -- message flight: background injection, delivery, endpoints ---------------
+
+
+def _uplink_contention_run(background_delivered):
+    """Background 0->2 and foreground 1->3 share leaf 0's one uplink.
+
+    Returns (foreground message, its arrival time, engine, fabric).
+    """
+    engine = Engine()
+    link = RawTcp().link_model(configs.pc_netgear_ga620())
+    fabric = Fabric(engine, link, 4, topology=TwoTierTree(leaf_size=2))
+    got = {}
+
+    def background():
+        yield from fabric.send(0, 2, 1 * MB, tag="bg",
+                               deliver=background_delivered)
+
+    def foreground():
+        yield from fabric.send(1, 3, 1 * MB)
+
+    def receiver():
+        got["msg"] = yield from fabric.recv(3, tag="data")
+        got["at"] = engine.now
+
+    engine.process(background())
+    engine.process(foreground())
+    engine.process(receiver())
+    engine.run()
+    return got["msg"], got["at"], engine, fabric
+
+
+def test_background_injection_holds_ports_like_a_delivered_message():
+    msg, at, engine, fabric = _uplink_contention_run(False)
+    msg_ref, at_ref, engine_ref, fabric_ref = _uplink_contention_run(True)
+    # The foreground message waited for the whole background occupancy
+    # at the shared uplink, exactly as behind a delivered message.
+    assert msg.sent_at == msg_ref.sent_at == fabric.link.occupancy(1 * MB)
+    assert at == at_ref
+    assert engine.now == engine_ref.now
+    assert fabric.port_utilisation() == fabric_ref.port_utilisation()
+    # ... and the dropped message costs two fewer events: no delivery
+    # kick and no latency timer.
+    assert engine_ref.events_processed - engine.events_processed == 2
+
+
+def test_background_never_reaches_an_inbox():
+    engine, fabric, _ = make_fabric()
+    got = []
+
+    def background():
+        for _ in range(3):
+            yield from fabric.send(0, 3, 10, tag="bg", deliver=False)
+
+    def foreground():
+        yield from fabric.send(1, 3, 10, tag="x")
+
+    def receiver():
+        msg = yield from fabric.recv(3)  # wildcard: any source, any tag
+        got.append((msg.src, msg.tag))
+
+    engine.process(background())
+    engine.process(foreground())
+    engine.process(receiver())
+    engine.run()
+    assert got == [(1, "x")]
+    assert fabric.messages_delivered == 1
+    assert all(len(inbox) == 0 for inbox in fabric.inboxes)
+
+
+def test_traced_run_delivers_foreground_only_without_delivery_processes():
+    from repro.obs import Recorder
+
+    rec = Recorder()
+    engine = Engine(obs=rec)
+    link = RawTcp().link_model(configs.pc_netgear_ga620())
+    fabric = Fabric(engine, link, 4)
+
+    def background(src):
+        for dst in (2, 3):
+            yield from fabric.send(src, dst, 4096, tag="bg", deliver=False)
+
+    def foreground(src, dst):
+        yield from fabric.send(src, dst, 1024)
+
+    def receiver(dst, n):
+        for _ in range(n):
+            yield from fabric.recv(dst, tag="data")
+
+    for src in (0, 1):
+        engine.process(background(src))
+    for src, dst in ((0, 2), (1, 2), (2, 3)):
+        engine.process(foreground(src, dst))
+    engine.process(receiver(2, 2))
+    engine.process(receiver(3, 1))
+    engine.run()
+    wire = rec.spans_by_cat("wire")
+    delivers = [s for s in wire if s.name == "net.deliver"]
+    sends = [s for s in wire if s.name == "net.send"]
+    assert len(delivers) == fabric.messages_delivered == 3
+    assert all(s.attrs["tag"] == "data" for s in delivers)
+    assert sum(s.attrs["tag"] == "bg" for s in sends) == 4
+    # Deliveries are timer callbacks, not processes: only the seven
+    # generators above ever start, and each of them finishes.
+    assert rec.counters["sim.process.started"] == 7
+    assert rec.counters["sim.process.started"] == rec.counters[
+        "sim.process.finished"
+    ]
+    for span in delivers:
+        assert span.t1 - span.t0 == pytest.approx(link.latency0)
+
+
+def test_world_builds_only_the_endpoints_a_program_uses(monkeypatch):
+    from repro.cluster import build_world, run_ranks
+
+    library = RawTcp()
+    built = []
+    original = library.build_endpoint
+
+    def counting(config, pair):
+        built.append((pair.me, pair.peer_rank))
+        return original(config, pair)
+
+    monkeypatch.setattr(library, "build_endpoint", counting)
+    engine = Engine()
+    comms = build_world(engine, library, configs.pc_netgear_ga620(), 128)
+    assert built == []
+
+    def ring(comm):
+        right = (comm.rank + 1) % comm.size
+        left = (comm.rank - 1) % comm.size
+        yield from comm.sendrecv(right, 64, left, 64)
+        yield from comm.sendrecv(right, 64, left, 64)
+
+    run_ranks(engine, comms, ring)
+    assert len(built) == len(set(built)) == 256  # not 128 * 127 = 16,256
+    with pytest.raises(ValueError, match="no endpoint for peer"):
+        comms[0]._ep(0)
+    with pytest.raises(ValueError, match="no endpoint for peer"):
+        comms[0]._ep(128)
