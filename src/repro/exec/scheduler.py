@@ -386,33 +386,44 @@ def _validate_result(request: SweepRequest, result: NetPipeResult) -> str | None
     here instead of being returned to the caller or written into the
     content-addressed cache.
     """
-    sizes = request.sizes if request.sizes is not None else netpipe_sizes()
     points = result.points
-    if len(points) != len(sizes):
+    return _validate_columns(
+        request, [p.size for p in points], [p.oneway_time for p in points]
+    )
+
+
+def _validate_columns(
+    request: SweepRequest, point_sizes: Sequence[int], times: Sequence[float]
+) -> str | None:
+    """:func:`_validate_result` over a curve's (sizes, times) columns.
+
+    The analytic tier checks its columns before the points exist, so it
+    skips the two per-point attribute walks.
+    """
+    sizes = request.sizes if request.sizes is not None else netpipe_sizes()
+    if len(point_sizes) != len(sizes):
         return (
             f"expected {len(sizes)} points for the size schedule, "
-            f"got {len(points)}"
+            f"got {len(point_sizes)}"
         )
-    # Bulk-compare first (C-level list equality / map), walk for the
-    # message only on failure: this runs on every sweep of every run,
-    # including the microsecond-scale analytic tier.
-    point_sizes = [p.size for p in points]
-    if point_sizes != list(sizes):
+    # Bulk-compare first (C-level list equality, min and sum), walk for
+    # the message only on failure: this runs on every sweep of every
+    # run, including the microsecond-scale analytic tier.
+    if list(point_sizes) != list(sizes):
         for point_size, size in zip(point_sizes, sizes):
             if point_size != size:
                 return (
                     f"point size {point_size} does not match "
                     f"schedule size {size}"
                 )
-    times = [p.oneway_time for p in points]
     # A positive minimum and a finite sum clear every point at once (a
     # NaN or infinity poisons the sum); anything else takes the walk.
     if times and not (min(times) > 0 and isfinite(sum(times))):
-        for point in points:
-            if not (isfinite(point.oneway_time) and point.oneway_time > 0):
+        for size, oneway_time in zip(point_sizes, times):
+            if not (isfinite(oneway_time) and oneway_time > 0):
                 return (
-                    f"non-physical one-way time {point.oneway_time!r} "
-                    f"at size {point.size}"
+                    f"non-physical one-way time {oneway_time!r} "
+                    f"at size {size}"
                 )
     return None
 
@@ -735,18 +746,24 @@ def execute_with_policy(
 
     analytic_pending = [i for i in pending if tiers[i] == "analytic"]
     if analytic_pending:
-        from repro.analytic import predict_sweep
+        from repro.analytic import predict_columns
 
+        obs = report.obs
         for i in analytic_pending:
             request = requests[i]
             t0 = time.perf_counter()
-            result = predict_sweep(
+            sizes, times = predict_columns(
                 request.library, request.config,
-                sizes=request.sizes, repeats=request.repeats,
-                obs=report.obs,
+                sizes=request.sizes, repeats=request.repeats, obs=obs,
+            )
+            result = NetPipeResult.from_columns(
+                request.library.display_name, request.config.describe(),
+                sizes, times,
             )
             elapsed = time.perf_counter() - t0
-            problem = _validate_result(request, result)
+            # from_columns sorts out-of-order columns, so the curve holds
+            # the sorted sizes (as a simulated result would).
+            problem = _validate_columns(request, sorted(sizes), times)
             if problem is not None:
                 report.record_event(
                     request.label, 0, "corrupt-result", problem
@@ -755,8 +772,7 @@ def execute_with_policy(
                     f"analytic sweep {request.label!r} produced an "
                     f"invalid curve: {problem}"
                 )
-            report.obs.count("exec.tier.analytic")
-            report.obs.record(
+            obs.record(
                 "analytic.sweep", cat="analytic", t0=0.0, t1=elapsed,
                 label=request.label,
             )
@@ -772,6 +788,7 @@ def execute_with_policy(
             if cache is not None and cache.put(fingerprints[i], result) is None:
                 report.record_event(request.label, 0, "cache-write-failed",
                                     _CACHE_WRITE_FAILED)
+        obs.count("exec.tier.analytic", len(analytic_pending))
 
     pending = [i for i in pending if tiers[i] == "sim"]
     if pending:
