@@ -32,8 +32,10 @@ queueing unboundedly.  Joining an in-flight future is always admitted
 
 After answering a cold query, the core optionally *speculates*: the
 query's neighbors (:mod:`repro.serve.speculate`) go onto a bounded
-background queue and are computed at idle priority, so the follow-up
-question ("and with jumbo frames?") is a hot hit.
+background queue, so the follow-up question ("and with jumbo frames?")
+is a hot hit.  A worker task computes them through the same admission
+gate and compute threads as foreground queries, not at a lower
+priority, so speculation competes with foreground compute.
 
 Everything is observable: each answer files ``serve.queue`` /
 ``serve.compute`` spans and per-source counters on a

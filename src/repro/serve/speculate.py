@@ -4,9 +4,11 @@ Anyone asking "what does MPICH do on this NIC at MTU 1500?" is about
 to ask about jumbo frames, or about the tuned sysctl profile — that is
 the whole shape of the paper's tuning study.  After the serving core
 computes a query, it enqueues the query's *neighbors* — same library
-and config with one tunable nudged — onto a bounded background queue
-and computes them at idle priority, so the follow-up question is a
-hot-cache hit.
+and config with one tunable nudged — onto a bounded background queue,
+so the follow-up question is a hot-cache hit.  One worker task drains
+the queue through the same admission gate and compute threads as
+foreground queries.  It has no lower priority: on a busy core it
+competes with foreground compute.
 
 :func:`neighbor_queries` is pure and deterministic: the neighbor set
 depends only on the query and the NIC's capabilities, never on load or
