@@ -15,7 +15,6 @@ protocol models in :mod:`repro.mplib` run unmodified over the fabric.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -33,7 +32,6 @@ class FabricMessage:
     tag: str
     size: int
     meta: dict = field(default_factory=dict)
-    seq: int = 0
     sent_at: float = 0.0
     delivered_at: float = 0.0
 
@@ -67,7 +65,6 @@ class Fabric:
         self._tx = [Resource(engine, 1) for _ in range(nranks)]
         self._rx = [Resource(engine, 1) for _ in range(nranks)]
         self.inboxes = [Store(engine) for _ in range(nranks)]
-        self._seq = itertools.count()
         self.messages_delivered = 0
         #: bound once: the engine's obs recorder (NULL_RECORDER when off)
         self.obs = engine.obs
@@ -100,7 +97,7 @@ class Fabric:
             raise ValueError("message size must be non-negative")
         msg = FabricMessage(
             src=src, dst=dst, tag=tag, size=size,
-            meta=dict(meta or {}), seq=next(self._seq),
+            meta=dict(meta or {}),
         )
         obs = self.obs
         if obs.enabled:

@@ -5,13 +5,16 @@ run N-rank jobs over shared switches under cross-traffic.  This package
 turns "figure 3, but on a 16-node two-tier tree with 30% background
 all-to-all" into one fingerprintable spec file:
 
-* :mod:`repro.scenario.spec` — the TOML/JSON schema as jsonable
-  dataclasses with path-addressed validation errors
-  (``traffic[1].rate: ...``);
+* :mod:`repro.scenario.spec` — the TOML/JSON schema as dataclasses,
+  parsed and emitted by one field-driven codec, with path-addressed
+  validation errors (``traffic[1].rate: ...``); TOML is read only,
+  the wire form is JSON;
 * :mod:`repro.scenario.traffic` — deterministic background traffic
   generators (constant-rate, on/off bursty, subtractive all-to-all);
 * :mod:`repro.scenario.compose` — instantiates fabric topology,
-  library protocol endpoints, workload and traffic onto one engine;
+  library protocol endpoints, workload and traffic onto one engine
+  (names resolve through :mod:`repro.experiments.names`, shared with
+  :mod:`repro.serve`);
 * :mod:`repro.scenario.result` — per-flow and aggregate outcomes,
   including the slowdown against the quiet-network twin;
 * :mod:`repro.scenario.runner` — fingerprint-addressed store and the
@@ -25,7 +28,7 @@ two-node code path the figures use, so its curve is bit-identical to
 :func:`repro.exec.execute_sweeps` for the same library and config.
 """
 
-from repro.scenario.compose import compose_run, resolve_config, resolve_library
+from repro.scenario.compose import compose_run
 from repro.scenario.result import FlowResult, ScenarioResult
 from repro.scenario.runner import (
     ScenarioExecutionError,
@@ -44,7 +47,6 @@ from repro.scenario.spec import (
     load_spec,
     parse_spec,
     scenario_salt,
-    spec_to_toml,
 )
 
 __all__ = [
@@ -63,9 +65,6 @@ __all__ = [
     "compose_run",
     "load_spec",
     "parse_spec",
-    "resolve_config",
-    "resolve_library",
     "run_scenario",
     "scenario_salt",
-    "spec_to_toml",
 ]

@@ -32,48 +32,10 @@ from dataclasses import dataclass
 from repro.core.pingpong import measure_sweep
 from repro.core.results import NetPipePoint, NetPipeResult
 from repro.core.sizes import netpipe_sizes
-from repro.hw.cluster import DEFAULT_SYSCTL, TUNED_SYSCTL, ClusterConfig
-from repro.mplib.base import MPLibrary
+from repro.experiments import names
 from repro.scenario.result import FlowResult
 from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.sim import Engine
-
-
-def resolve_library(name: str) -> MPLibrary:
-    """The library instance a spec names (registry or variants)."""
-    from repro.mplib.registry import REGISTRY, VARIANTS
-
-    factory = REGISTRY.get(name) or VARIANTS.get(name)
-    if factory is None:
-        known = ", ".join(sorted([*REGISTRY, *VARIANTS]))
-        raise SpecError("library", f"unknown library {name!r}; known: {known}")
-    return factory()
-
-
-def resolve_config(spec: ScenarioSpec) -> ClusterConfig:
-    """The cluster config a spec names, with tunables applied."""
-    from repro.experiments import configs
-
-    factory = getattr(configs, spec.config, None)
-    if spec.config.startswith("_") or factory is None or not callable(factory):
-        from repro.scenario.spec import config_names
-
-        raise SpecError(
-            "config",
-            f"unknown config {spec.config!r}; known: "
-            f"{', '.join(config_names())}",
-        )
-    config = factory()
-    if spec.tuned is not None:
-        config = config.with_sysctl(
-            TUNED_SYSCTL if spec.tuned else DEFAULT_SYSCTL
-        )
-    if spec.mtu is not None:
-        try:
-            config = config.with_mtu(spec.mtu)
-        except ValueError as exc:
-            raise SpecError("mtu", f"invalid for {spec.config}: {exc}")
-    return config
 
 
 @dataclass(frozen=True)
@@ -157,8 +119,11 @@ def compose_run(spec: ScenarioSpec, recorder=None) -> ComposedRun:
     validated; :func:`repro.scenario.runner.run_scenario` is the
     retrying, caching front door.
     """
-    library = resolve_library(spec.library)
-    config = resolve_config(spec)
+    try:
+        library = names.library_factory(spec.library)()
+        config = names.build_config(spec.config, spec.tuned, spec.mtu)
+    except names.ResolveError as exc:
+        raise SpecError(exc.field, exc.message)
     workload = spec.workload
     sizes = workload.sizes if workload.sizes is not None else netpipe_sizes()
 

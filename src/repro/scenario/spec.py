@@ -7,6 +7,8 @@ the library protocol model, the cluster hardware config, the switch
 topology, the foreground workload, background traffic generators, CPU
 contention on host ranks, and an optional fault plan.
 
+The schema is the dataclasses themselves: one codec (:func:`decode`,
+:func:`encode`) reads each class's fields, defaults and annotations.
 Specs load from TOML (Python 3.11+) or JSON, round-trip through
 :meth:`ScenarioSpec.to_jsonable` / :meth:`ScenarioSpec.from_jsonable`
 without loss, and validate with *path-addressed* errors: a bad rate in
@@ -16,9 +18,10 @@ trace into a dataclass constructor.
 Every spec has a SHA-256 :meth:`~ScenarioSpec.fingerprint` folding the
 derived :func:`~repro.exec.fingerprint.code_salt` plus a scenario salt
 over the packages whose code shapes an N-rank run (fabric, cluster,
-collectives, apps, faults, scenario itself) — so scenario results are
-content-addressed and cache-safe exactly like sweep curves: any edit
-to the spec *or* to the timing code yields a cold fingerprint.
+collectives, apps, faults, the config factories in experiments, and
+scenario itself) — so scenario results are content-addressed and
+cache-safe exactly like sweep curves: any edit to the spec *or* to the
+timing code yields a cold fingerprint.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import dataclasses
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable
 
 try:  # tomllib shipped with Python 3.11; 3.10 gets JSON only
     import tomllib
@@ -37,6 +42,7 @@ except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI
     tomllib = None  # type: ignore[assignment]
 
 from repro.exec.fingerprint import canonicalize, code_salt, source_digest
+from repro.experiments import names
 
 #: Version prefix of the scenario fingerprint salt; bump only on a
 #: semantic break in the result/entry format itself.
@@ -44,9 +50,12 @@ SCENARIO_SALT = "repro-scenario-v1"
 
 #: Sub-packages of ``repro`` whose source content shapes an N-rank
 #: scenario's timings, beyond the two-node packages already covered by
-#: :func:`~repro.exec.fingerprint.code_salt`.
+#: :func:`~repro.exec.fingerprint.code_salt`.  ``experiments`` holds
+#: the config factories a spec names, and the resolver that applies its
+#: tunables.
 SCENARIO_SALT_PACKAGES = (
-    "fabric", "cluster", "collectives", "apps", "faults", "scenario",
+    "fabric", "cluster", "collectives", "apps", "faults", "experiments",
+    "scenario",
 )
 
 #: The recognised generator kinds (see :mod:`repro.scenario.traffic`).
@@ -67,20 +76,6 @@ FAULT_KINDS = ("raise", "corrupt", "crash")
 BACKGROUND_TAG = "bg"
 
 
-def config_names() -> list[str]:
-    """The cluster-config factory names a spec may reference."""
-    from repro.experiments import configs
-
-    return sorted(
-        name
-        for name in dir(configs)
-        if not name.startswith("_")
-        and callable(getattr(configs, name))
-        and getattr(getattr(configs, name), "__module__", "")
-        == configs.__name__
-    )
-
-
 class SpecError(ValueError):
     """A scenario spec problem, addressed by its dotted field path.
 
@@ -95,66 +90,121 @@ class SpecError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _reject_unknown(data: Mapping[str, Any], known: Sequence[str],
-                    path: str) -> None:
-    """Raise :class:`SpecError` for any field not in ``known``."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise SpecError(
-            f"{path}.{unknown[0]}" if path else unknown[0],
-            f"unknown field (known: {', '.join(known)})",
-        )
+# -- the codec ---------------------------------------------------------------
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def _get_int(data: Mapping[str, Any], name: str, default: int,
-             path: str) -> int:
-    """An integer field (bools rejected — TOML has real booleans)."""
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{path}.{name}" if path else name,
-                        f"expected an integer, got {value!r}")
+#: Scalar annotation -> (accepted types, noun for the error message).
+#: ``bool`` is an ``int`` subclass, so only a ``bool`` field accepts one.
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
+}
+
+
+def _decoder(tp: Any) -> Callable[[Any, str], Any]:
+    """A ``(value, path) -> value`` checker for one resolved annotation."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return lambda value, path: (
+            None if value is None else inner(value, path))
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        item = _decoder(args[0])
+        block = dataclasses.is_dataclass(args[0])
+
+        def sequence(value: Any, path: str) -> tuple:
+            if not isinstance(value, (list, tuple)) or not (value or block):
+                raise SpecError(path, "expected an array of tables" if block
+                                else "expected a non-empty list")
+            return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+        return sequence
+    if dataclasses.is_dataclass(tp):
+        return lambda value, path: decode(tp, value, path)
+    accepted, noun = _SCALARS[tp]
+
+    def scalar(value: Any, path: str) -> Any:
+        if not isinstance(value, accepted) or (
+                isinstance(value, bool) and tp is not bool):
+            raise SpecError(path, f"expected {noun}, got {value!r}")
+        return tp(value)
+
+    return scalar
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> tuple[dict, dict, tuple[str, ...]]:
+    """``(decoders, defaults, required)`` of one spec class, built once.
+
+    ``decoders`` and ``defaults`` map each field in declaration order;
+    ``required`` names the fields with no default.
+    """
+    hints = typing.get_type_hints(cls)
+    decoders, defaults = {}, {}
+    for f in dataclasses.fields(cls):
+        decoders[f.name] = _decoder(hints[f.name])
+        defaults[f.name] = (f.default_factory() if f.default_factory
+                            is not MISSING else f.default)
+    required = tuple(n for n, d in defaults.items() if d is MISSING)
+    return decoders, defaults, required
+
+
+def decode(cls: type, data: Any, path: str = "") -> Any:
+    """Build ``cls`` from its TOML/JSON shape.
+
+    Rejects unknown fields and missing required ones (fields with no
+    default); type errors name the field path, list items included
+    (``workload.sizes[1]``, ``traffic[1].rate``).  Semantic checks are
+    each class's ``validate``.
+    """
+    if not isinstance(data, (dict, Mapping)):  # dict: skip the ABC check
+        raise SpecError(path or "spec", "expected a table/object")
+    decoders, _, required = _schema(cls)
+    if not data.keys() <= decoders.keys():
+        raise SpecError(_join(path, min(data.keys() - decoders.keys())),
+                        f"unknown field (known: {', '.join(decoders)})")
+    for name in required:
+        if name not in data:
+            raise SpecError(_join(path, name), "required field is missing")
+    return cls(**{name: decoders[name](value, _join(path, name))
+                  for name, value in data.items()})
+
+
+def encode(obj: Any) -> dict[str, Any]:
+    """The wire form of a spec object: every field that differs from
+    its default, so :func:`decode` rebuilds an equal object."""
+    out = {}
+    for name, default in _schema(type(obj))[1].items():
+        value = getattr(obj, name)
+        if value != default:
+            out[name] = _wire(value)
+    return out
+
+
+def _wire(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return encode(value)
+    if isinstance(value, tuple):
+        return [_wire(v) for v in value]
     return value
 
 
-def _get_float(data: Mapping[str, Any], name: str, default: float,
-               path: str) -> float:
-    """A float field (integers accepted and widened)."""
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{path}.{name}" if path else name,
-                        f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_str(data: Mapping[str, Any], name: str, default: str | None,
-             path: str) -> str | None:
-    """A string field; ``default=None`` marks it required."""
-    value = data.get(name, default)
-    if value is None:
-        raise SpecError(f"{path}.{name}" if path else name,
-                        "required field is missing")
-    if not isinstance(value, str):
-        raise SpecError(f"{path}.{name}" if path else name,
-                        f"expected a string, got {value!r}")
-    return value
-
-
-def _get_ranks(data: Mapping[str, Any], name: str,
-               path: str) -> tuple[int, ...] | None:
-    """An optional list of rank numbers, normalised to a tuple."""
-    value = data.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or not value:
-        raise SpecError(f"{path}.{name}" if path else name,
-                        "expected a non-empty list of rank numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, int) or item < 0:
-            raise SpecError(f"{path}.{name}[{i}]",
-                            f"expected a rank number >= 0, got {item!r}")
-        out.append(item)
-    return tuple(out)
+def _check_ranks(ranks: tuple[int, ...] | None, nranks: int, path: str,
+                 distinct: bool = True) -> None:
+    """``<path>.ranks`` lie in ``[0, nranks)`` and, when ``distinct``,
+    name no rank twice."""
+    if ranks is None:
+        return
+    for i, rank in enumerate(ranks):
+        if not 0 <= rank < nranks:
+            raise SpecError(f"{path}.ranks[{i}]",
+                            f"rank {rank} out of range for nranks={nranks}")
+    if distinct and len(set(ranks)) != len(ranks):
+        raise SpecError(f"{path}.ranks", "ranks must be distinct")
 
 
 @dataclass(frozen=True)
@@ -197,33 +247,6 @@ class TopologySpec:
             uplink_latency=self.uplink_latency,
         )
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "topology") -> "TopologySpec":
-        """Parse one topology block, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise SpecError(path, "expected a table/object")
-        _reject_unknown(
-            data, ("kind", "leaf_size", "uplink_capacity", "uplink_latency"),
-            path,
-        )
-        return cls(
-            kind=_get_str(data, "kind", "crossbar", path),
-            leaf_size=_get_int(data, "leaf_size", 8, path),
-            uplink_capacity=_get_int(data, "uplink_capacity", 1, path),
-            uplink_latency=_get_float(data, "uplink_latency", 1e-6, path),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The wire form (crossbar extras elided)."""
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "two-tier":
-            out.update(
-                leaf_size=self.leaf_size,
-                uplink_capacity=self.uplink_capacity,
-                uplink_latency=self.uplink_latency,
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -255,14 +278,7 @@ class WorkloadSpec:
             raise SpecError(f"{path}.kind",
                             f"expected one of {WORKLOAD_KINDS}, "
                             f"got {self.kind!r}")
-        if self.ranks is not None:
-            for i, rank in enumerate(self.ranks):
-                if not 0 <= rank < nranks:
-                    raise SpecError(f"{path}.ranks[{i}]",
-                                    f"rank {rank} out of range for "
-                                    f"nranks={nranks}")
-            if len(set(self.ranks)) != len(self.ranks):
-                raise SpecError(f"{path}.ranks", "ranks must be distinct")
+        _check_ranks(self.ranks, nranks, path)
         if self.kind == "pingpong":
             if self.ranks is not None and len(self.ranks) != 2:
                 raise SpecError(f"{path}.ranks",
@@ -287,56 +303,6 @@ class WorkloadSpec:
             return self.ranks[0], self.ranks[1]
         return 0, nranks - 1
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "workload") -> "WorkloadSpec":
-        """Parse one workload block, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise SpecError(path, "expected a table/object")
-        _reject_unknown(
-            data,
-            ("kind", "ranks", "sizes", "repeats", "iterations", "cells",
-             "message_bytes"),
-            path,
-        )
-        sizes = data.get("sizes")
-        if sizes is not None:
-            if not isinstance(sizes, (list, tuple)) or not sizes:
-                raise SpecError(f"{path}.sizes",
-                                "expected a non-empty list of sizes")
-            parsed = []
-            for i, size in enumerate(sizes):
-                if isinstance(size, bool) or not isinstance(size, int):
-                    raise SpecError(f"{path}.sizes[{i}]",
-                                    f"expected an integer, got {size!r}")
-                parsed.append(size)
-            sizes = tuple(parsed)
-        return cls(
-            kind=_get_str(data, "kind", "pingpong", path),
-            ranks=_get_ranks(data, "ranks", path),
-            sizes=sizes,
-            repeats=_get_int(data, "repeats", 1, path),
-            iterations=_get_int(data, "iterations", 5, path),
-            cells=_get_int(data, "cells", 64, path),
-            message_bytes=_get_int(data, "message_bytes", 65536, path),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The wire form (defaults elided)."""
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.ranks is not None:
-            out["ranks"] = list(self.ranks)
-        if self.sizes is not None:
-            out["sizes"] = list(self.sizes)
-        if self.repeats != 1:
-            out["repeats"] = self.repeats
-        if self.kind == "halo":
-            out["iterations"] = self.iterations
-            out["cells"] = self.cells
-        if self.kind == "alltoall":
-            out["iterations"] = self.iterations
-            out["message_bytes"] = self.message_bytes
-        return out
 
 
 @dataclass(frozen=True)
@@ -368,14 +334,7 @@ class TrafficSpec:
                             f"must be in (0, 1], got {self.rate!r}")
         if self.message_bytes < 1:
             raise SpecError(f"{path}.message_bytes", "must be >= 1")
-        if self.ranks is not None:
-            for i, rank in enumerate(self.ranks):
-                if not 0 <= rank < nranks:
-                    raise SpecError(f"{path}.ranks[{i}]",
-                                    f"rank {rank} out of range for "
-                                    f"nranks={nranks}")
-            if len(set(self.ranks)) != len(self.ranks):
-                raise SpecError(f"{path}.ranks", "ranks must be distinct")
+        _check_ranks(self.ranks, nranks, path)
         participants = (
             len(self.ranks) if self.ranks is not None else nranks
         )
@@ -389,38 +348,6 @@ class TrafficSpec:
             if self.off_seconds <= 0:
                 raise SpecError(f"{path}.off_seconds", "must be > 0")
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "traffic") -> "TrafficSpec":
-        """Parse one traffic block, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise SpecError(path, "expected a table/object")
-        _reject_unknown(
-            data,
-            ("kind", "rate", "message_bytes", "ranks", "on_seconds",
-             "off_seconds"),
-            path,
-        )
-        return cls(
-            kind=_get_str(data, "kind", "constant", path),
-            rate=_get_float(data, "rate", 0.1, path),
-            message_bytes=_get_int(data, "message_bytes", 65536, path),
-            ranks=_get_ranks(data, "ranks", path),
-            on_seconds=_get_float(data, "on_seconds", 0.002, path),
-            off_seconds=_get_float(data, "off_seconds", 0.002, path),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The wire form (defaults elided)."""
-        out: dict[str, Any] = {"kind": self.kind, "rate": self.rate}
-        if self.message_bytes != 65536:
-            out["message_bytes"] = self.message_bytes
-        if self.ranks is not None:
-            out["ranks"] = list(self.ranks)
-        if self.kind == "onoff":
-            out["on_seconds"] = self.on_seconds
-            out["off_seconds"] = self.off_seconds
-        return out
 
 
 @dataclass(frozen=True)
@@ -442,35 +369,13 @@ class CpuSpec:
         if not 0.0 < self.load < 1.0:
             raise SpecError(f"{path}.load",
                             f"must be in (0, 1), got {self.load!r}")
-        if self.ranks is not None:
-            for i, rank in enumerate(self.ranks):
-                if not 0 <= rank < nranks:
-                    raise SpecError(f"{path}.ranks[{i}]",
-                                    f"rank {rank} out of range for "
-                                    f"nranks={nranks}")
+        # A rank listed twice carries one hog; such specs stay valid.
+        _check_ranks(self.ranks, nranks, path, distinct=False)
 
     def dilation(self) -> float:
         """The compute-stretch factor ``1 / (1 - load)``."""
         return 1.0 / (1.0 - self.load)
 
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "cpu") -> "CpuSpec":
-        """Parse one cpu block, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise SpecError(path, "expected a table/object")
-        _reject_unknown(data, ("load", "ranks"), path)
-        return cls(
-            load=_get_float(data, "load", 0.5, path),
-            ranks=_get_ranks(data, "ranks", path),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The wire form."""
-        out: dict[str, Any] = {"load": self.load}
-        if self.ranks is not None:
-            out["ranks"] = list(self.ranks)
-        return out
 
 
 @dataclass(frozen=True)
@@ -494,26 +399,6 @@ class FaultEntry:
                             f"got {self.kind!r}")
         if self.times < 1:
             raise SpecError(f"{path}.times", "must be >= 1")
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "faults") -> "FaultEntry":
-        """Parse one fault entry, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise SpecError(path, "expected a table/object")
-        _reject_unknown(data, ("kind", "times"), path)
-        return cls(
-            kind=_get_str(data, "kind", "raise", path),
-            times=_get_int(data, "times", 1, path),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The wire form."""
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.times != 1:
-            out["times"] = self.times
-        return out
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -554,18 +439,11 @@ class ScenarioSpec:
             raise SpecError("nranks", f"must be >= 2, got {self.nranks}")
         if self.seed < 0:
             raise SpecError("seed", "must be >= 0")
-        from repro.mplib.registry import REGISTRY, VARIANTS
-
-        if self.library not in REGISTRY and self.library not in VARIANTS:
-            known = ", ".join(sorted([*REGISTRY, *VARIANTS]))
-            raise SpecError("library",
-                            f"unknown library {self.library!r}; "
-                            f"known: {known}")
-        names = config_names()
-        if self.config not in names:
-            raise SpecError("config",
-                            f"unknown config {self.config!r}; known: "
-                            f"{', '.join(names)}")
+        try:
+            names.library_factory(self.library)
+            names.check_config(self.config)
+        except names.ResolveError as exc:
+            raise SpecError(exc.field, exc.message)
         self.topology.validate("topology")
         self.workload.validate(self.nranks, "workload")
         for i, entry in enumerate(self.traffic):
@@ -631,96 +509,16 @@ class ScenarioSpec:
 
     # -- wire form -----------------------------------------------------------
     @classmethod
-    def from_jsonable(cls, data: Mapping[str, Any],
-                      path: str = "") -> "ScenarioSpec":
-        """Parse the TOML/JSON shape, rejecting unknown fields.
-
-        Shape errors carry the offending field path.  Semantic
-        validation (:meth:`validate`) runs too, so a parsed spec is
-        always runnable.
-        """
-        if not isinstance(data, Mapping):
-            raise SpecError(path or "spec", "expected a table/object")
-        _reject_unknown(
-            data,
-            ("name", "library", "config", "description", "nranks", "mtu",
-             "tuned", "seed", "topology", "workload", "traffic", "cpu",
-             "faults"),
-            path,
-        )
-        mtu = data.get("mtu")
-        if mtu is not None and (isinstance(mtu, bool)
-                                or not isinstance(mtu, int)):
-            raise SpecError("mtu", f"expected an integer, got {mtu!r}")
-        tuned = data.get("tuned")
-        if tuned is not None and not isinstance(tuned, bool):
-            raise SpecError("tuned", f"expected a boolean, got {tuned!r}")
-        traffic_data = data.get("traffic", [])
-        if not isinstance(traffic_data, (list, tuple)):
-            raise SpecError("traffic", "expected an array of tables")
-        faults_data = data.get("faults", [])
-        if not isinstance(faults_data, (list, tuple)):
-            raise SpecError("faults", "expected an array of tables")
-        spec = cls(
-            name=_get_str(data, "name", None, path) or "",
-            library=_get_str(data, "library", None, path) or "",
-            config=_get_str(data, "config", "pc_netgear_ga620", path) or "",
-            description=_get_str(data, "description", "", path) or "",
-            nranks=_get_int(data, "nranks", 2, path),
-            mtu=mtu,
-            tuned=tuned,
-            seed=_get_int(data, "seed", 1, path),
-            topology=TopologySpec.from_jsonable(
-                data.get("topology", {}), "topology"
-            ),
-            workload=WorkloadSpec.from_jsonable(
-                data.get("workload", {}), "workload"
-            ),
-            traffic=tuple(
-                TrafficSpec.from_jsonable(entry, f"traffic[{i}]")
-                for i, entry in enumerate(traffic_data)
-            ),
-            cpu=(
-                CpuSpec.from_jsonable(data["cpu"], "cpu")
-                if data.get("cpu") is not None
-                else None
-            ),
-            faults=tuple(
-                FaultEntry.from_jsonable(entry, f"faults[{i}]")
-                for i, entry in enumerate(faults_data)
-            ),
-        )
+    def from_jsonable(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        """Parse the TOML/JSON shape (see :func:`decode`), then
+        :meth:`validate` it, so a parsed spec is always runnable."""
+        spec = decode(cls, data)
         spec.validate()
         return spec
 
     def to_jsonable(self) -> dict[str, Any]:
-        """The wire form (defaults elided); round-trips losslessly."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "library": self.library,
-            "config": self.config,
-        }
-        if self.description:
-            out["description"] = self.description
-        if self.nranks != 2:
-            out["nranks"] = self.nranks
-        if self.mtu is not None:
-            out["mtu"] = self.mtu
-        if self.tuned is not None:
-            out["tuned"] = self.tuned
-        if self.seed != 1:
-            out["seed"] = self.seed
-        if self.topology != TopologySpec():
-            out["topology"] = self.topology.to_jsonable()
-        if self.workload != WorkloadSpec():
-            out["workload"] = self.workload.to_jsonable()
-        if self.traffic:
-            out["traffic"] = [t.to_jsonable() for t in self.traffic]
-        if self.cpu is not None:
-            out["cpu"] = self.cpu.to_jsonable()
-        if self.faults:
-            out["faults"] = [f.to_jsonable() for f in self.faults]
-        return out
+        """The wire form (see :func:`encode`); round-trips losslessly."""
+        return encode(self)
 
 
 @functools.lru_cache(maxsize=None)
@@ -779,57 +577,3 @@ def load_spec(path: str | Path) -> ScenarioSpec:
     except OSError as exc:
         raise SpecError(str(path), f"cannot read spec file: {exc}")
     return parse_spec(text, fmt=suffix[1:], source=str(path))
-
-
-def _toml_scalar(value: Any) -> str:
-    """One TOML literal (strings escaped, floats kept exact)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        text = repr(value)
-        # repr(2.0) == '2.0' and repr(1e-06) == '1e-06' are both valid
-        # TOML floats already; nothing else escapes a validated spec.
-        return text
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_scalar(v) for v in value) + "]"
-    raise TypeError(f"cannot emit {value!r} as TOML")
-
-
-def spec_to_toml(spec: ScenarioSpec) -> str:
-    """Serialize a spec as TOML text (inverse of the TOML loader).
-
-    Only emits the shapes :meth:`ScenarioSpec.to_jsonable` produces —
-    scalars, arrays of integers, sub-tables, and arrays of tables —
-    which is the entire spec schema.  The round-trip property
-    (``parse_spec(spec_to_toml(s), "toml")`` equals ``s`` and shares
-    its fingerprint) is asserted by the hypothesis tier.
-    """
-    data = spec.to_jsonable()
-    lines: list[str] = []
-    tables: list[tuple[str, Mapping[str, Any]]] = []
-    arrays: list[tuple[str, Sequence[Mapping[str, Any]]]] = []
-    for key, value in data.items():
-        if isinstance(value, Mapping):
-            tables.append((key, value))
-        elif (isinstance(value, list) and value
-              and isinstance(value[0], Mapping)):
-            arrays.append((key, value))
-        else:
-            lines.append(f"{key} = {_toml_scalar(value)}")
-    for key, table in tables:
-        lines.append("")
-        lines.append(f"[{key}]")
-        for k, v in table.items():
-            lines.append(f"{k} = {_toml_scalar(v)}")
-    for key, entries in arrays:
-        for entry in entries:
-            lines.append("")
-            lines.append(f"[[{key}]]")
-            for k, v in entry.items():
-                lines.append(f"{k} = {_toml_scalar(v)}")
-    return "\n".join(lines) + "\n"

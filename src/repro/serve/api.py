@@ -28,7 +28,9 @@ from typing import Any, Mapping
 from repro.core.io import result_from_dict, result_to_dict
 from repro.core.results import NetPipeResult
 from repro.exec.scheduler import SweepRequest
-from repro.hw.cluster import DEFAULT_SYSCTL, TUNED_SYSCTL, ClusterConfig
+from repro.experiments import names
+from repro.experiments.names import config_names  # re-exported
+from repro.hw.cluster import ClusterConfig
 
 #: Where one answer came from, cheapest first.
 SOURCES = ("hot", "coalesced", "disk", "computed")
@@ -79,58 +81,6 @@ class OverloadedError(ServeError):
         out["pending"] = self.pending
         out["limit"] = self.limit
         return out
-
-
-def _resolve_library(name: str):
-    """A library instance from the tuned registry or the variants."""
-    from repro.mplib.registry import REGISTRY, VARIANTS
-
-    factory = REGISTRY.get(name) or VARIANTS.get(name)
-    if factory is None:
-        known = ", ".join(sorted([*REGISTRY, *VARIANTS]))
-        raise BadRequestError(f"unknown library {name!r}; known: {known}")
-    return factory()
-
-
-def config_names() -> list[str]:
-    """The cluster-config factory names a query may reference."""
-    from repro.experiments import configs
-
-    return sorted(
-        name
-        for name in dir(configs)
-        if not name.startswith("_")
-        and callable(getattr(configs, name))
-        and getattr(getattr(configs, name), "__module__", "")
-        == configs.__name__
-    )
-
-
-def _resolve_config(query: "ServeQuery") -> ClusterConfig:
-    """The cluster config named by the query, with tunables applied."""
-    from repro.experiments import configs
-
-    factory = getattr(configs, query.config, None)
-    if (
-        query.config.startswith("_")
-        or factory is None
-        or not callable(factory)
-    ):
-        raise BadRequestError(
-            f"unknown config {query.config!r}; known: "
-            f"{', '.join(config_names())}"
-        )
-    config = factory()
-    if query.tuned is not None:
-        config = config.with_sysctl(
-            TUNED_SYSCTL if query.tuned else DEFAULT_SYSCTL
-        )
-    if query.mtu is not None:
-        try:
-            config = config.with_mtu(query.mtu)
-        except ValueError as exc:
-            raise BadRequestError(f"invalid mtu for {query.config}: {exc}")
-    return config
 
 
 @dataclass(frozen=True)
@@ -219,8 +169,11 @@ class ServeQuery:
         The label is the library name — that is what fault plans and
         report lines key on.
         """
-        library = _resolve_library(self.library)
-        config = _resolve_config(self)
+        try:
+            library = names.library_factory(self.library)()
+            config = names.build_config(self.config, self.tuned, self.mtu)
+        except names.ResolveError as exc:
+            raise BadRequestError(exc.message)
         try:
             return SweepRequest(
                 label=self.library,

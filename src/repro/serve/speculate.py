@@ -17,7 +17,8 @@ timing, so tests can assert exactly what gets warmed.
 
 from __future__ import annotations
 
-from repro.serve.api import ServeQuery, _resolve_config
+from repro.experiments.names import build_config
+from repro.serve.api import ServeQuery
 
 #: The MTU ladder speculation climbs: the standard Ethernet frame, the
 #: Alteon "half-jumbo" step, and full jumbo — the three settings the
@@ -38,7 +39,7 @@ def neighbor_queries(query: ServeQuery, depth: int = 3) -> list[ServeQuery]:
     never surface an error for a question nobody asked.
     """
     try:
-        config = _resolve_config(query)
+        config = build_config(query.config, query.tuned, query.mtu)
     except Exception:
         return []
     neighbors: list[ServeQuery] = []

@@ -11,6 +11,7 @@ import re
 import pytest
 
 import repro.__main__ as entry
+from tests.markers import requires_toml
 
 pytestmark = pytest.mark.scenario
 
@@ -45,6 +46,7 @@ def test_every_documented_command_is_registered():
     assert not ghosts, f"docstring names unknown subcommands: {sorted(ghosts)}"
 
 
+@requires_toml
 def test_scenario_command_is_wired():
     assert "scenario" in _registered_commands()
     # The forwarding path: `python -m repro scenario validate <spec>`.

@@ -79,3 +79,21 @@ def test_sweep_fingerprint_folds_in_the_derived_salt(monkeypatch):
         fingerprint, "code_salt", lambda: CODE_SALT + "+deadbeefdeadbeef"
     )
     assert sweep_fingerprint(lib, cfg, sizes=[1, 2, 4]) != base
+
+
+def test_every_factory_a_spec_names_is_salted():
+    # A scenario fingerprint hashes library and config *names*, so the
+    # code each name runs must sit under one of the two salts: otherwise
+    # editing a config factory would replay a stale stored result.
+    from repro.mplib.registry import REGISTRY, VARIANTS
+    from repro.scenario.spec import SCENARIO_SALT_PACKAGES
+
+    salted = {*SALTED_PACKAGES, *SCENARIO_SALT_PACKAGES}
+    config_factories = [
+        value for value in vars(configs).values()
+        if callable(value) and value.__module__ == configs.__name__
+    ]
+    assert config_factories
+    for factory in [*config_factories, *REGISTRY.values(), *VARIANTS.values()]:
+        package = factory.__module__.split(".")[1]
+        assert package in salted, (factory, factory.__module__)

@@ -31,6 +31,8 @@ from pathlib import Path
 import pytest
 
 from repro.scenario import ScenarioSpec, load_spec, run_scenario
+from repro.scenario.spec import tomllib
+from tests.markers import requires_toml
 
 pytestmark = pytest.mark.scenario
 
@@ -91,10 +93,14 @@ CONGESTED_SPECS = (
 
 
 def golden_specs() -> list:
-    """Every example spec (file order), then the in-test congested set."""
+    """Every example spec (file order), then the in-test congested set.
+
+    Without ``tomllib`` (Python 3.10) the TOML examples are left out.
+    """
+    suffixes = (".toml", ".json") if tomllib is not None else (".json",)
     paths = sorted(
         p for p in (ROOT / "examples" / "scenarios").iterdir()
-        if p.suffix in (".toml", ".json")
+        if p.suffix in suffixes
     )
     return [load_spec(p) for p in paths] + [
         ScenarioSpec.from_jsonable(d) for d in CONGESTED_SPECS
@@ -128,6 +134,7 @@ def computed() -> dict:
     return compute_golden()
 
 
+@requires_toml
 def test_golden_covers_every_spec(pinned):
     names = [spec.name for spec in golden_specs()]
     assert sorted(pinned["digests"]) == sorted(names)

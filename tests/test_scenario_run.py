@@ -27,6 +27,7 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.scenario.cli import main as scenario_main
+from tests.markers import requires_toml
 
 pytestmark = pytest.mark.scenario
 
@@ -62,6 +63,7 @@ def test_quiet_two_rank_matches_execute_sweeps_bit_for_bit():
     assert result.slowdown == 1.0
 
 
+@requires_toml
 def test_example_fig1_is_the_figure_one_curve():
     spec = load_spec(EXAMPLES / "fig1_mpich_quiet.toml")
     assert spec.is_two_node_baseline()
@@ -73,6 +75,7 @@ def test_example_fig1_is_the_figure_one_curve():
         [(p.size, p.oneway_time) for p in expected.points]
 
 
+@requires_toml
 def test_fig3_example_degenerates_to_the_baseline_when_stripped():
     # Removing the congestion knobs from the 16-rank example must land
     # exactly on the plain two-node curve for its library/config.
@@ -188,6 +191,7 @@ def test_trace_bypasses_the_store(tmp_path):
 
 
 # -- examples and CLI --------------------------------------------------------
+@requires_toml
 def test_all_example_specs_validate():
     paths = sorted(EXAMPLES.glob("*.toml")) + sorted(EXAMPLES.glob("*.json"))
     assert len(paths) >= 3
@@ -196,6 +200,7 @@ def test_all_example_specs_validate():
         assert spec.name
 
 
+@requires_toml
 def test_cli_validate_and_list(capsys):
     assert scenario_main(["validate", str(EXAMPLES / "fig1_mpich_quiet.toml")]) == 0
     assert "ok" in capsys.readouterr().out

@@ -20,8 +20,8 @@ from repro.scenario import (
     WorkloadSpec,
     load_spec,
     parse_spec,
-    spec_to_toml,
 )
+from tests.markers import requires_toml
 
 pytestmark = pytest.mark.scenario
 
@@ -41,9 +41,23 @@ def test_minimal_json_parses():
     assert spec.is_quiet() and spec.is_two_node_baseline()
 
 
+@requires_toml
 def test_minimal_toml_parses():
     spec = parse_spec('name = "a"\nlibrary = "mpich"\n', fmt="toml")
     assert spec.name == "a"
+
+
+def test_toml_needs_tomllib(monkeypatch):
+    # Python 3.10 has no tomllib: TOML is refused with a SpecError that
+    # names the source, while JSON keeps working.
+    import repro.scenario.spec as spec_module
+
+    monkeypatch.setattr(spec_module, "tomllib", None)
+    with pytest.raises(SpecError, match="Python 3.11") as err:
+        parse_spec('name = "a"\nlibrary = "mpich"\n', fmt="toml",
+                   source="a.toml")
+    assert err.value.path == "a.toml"
+    assert parse_spec('{"name": "a", "library": "mpich"}').name == "a"
 
 
 def test_json_syntax_error_carries_source():
@@ -77,6 +91,19 @@ def test_nested_error_paths():
         ({"nranks": 1}, "nranks"),
         ({"workload": {"ranks": [0, 9]}, "nranks": 4},
          "workload.ranks[1]"),
+        ({"workload": {"ranks": [0, -1]}}, "workload.ranks[1]"),
+        ({"workload": {"sizes": [64, "1k"]}}, "workload.sizes[1]"),
+        ({"workload": {"sizes": []}}, "workload.sizes"),
+        ({"traffic": [{}, {"rate": "high"}]}, "traffic[1].rate"),
+        ({"traffic": {"kind": "constant"}}, "traffic"),
+        ({"topology": {"kind": "two-tier", "leaf_sise": 4}},
+         "topology.leaf_sise"),
+        ({"topology": []}, "topology"),
+        ({"cpu": {"ranks": [0, 5]}}, "cpu.ranks[1]"),
+        ({"faults": [{"times": 1.5}]}, "faults[0].times"),
+        ({"mtu": 1500.0}, "mtu"),
+        ({"tuned": 1}, "tuned"),
+        ({"config": None}, "config"),
     ]
     for extra, path in cases:
         data = {"name": "a", "library": "mpich", **extra}
@@ -92,6 +119,23 @@ def test_unknown_library_and_config_rejected():
     with pytest.raises(SpecError) as err:
         parse_spec('{"name": "a", "library": "mpich", "config": "cray"}')
     assert err.value.path == "config"
+
+
+def test_required_fields_named():
+    for data, path in (({"library": "mpich"}, "name"),
+                       ({"name": "a"}, "library")):
+        with pytest.raises(SpecError, match="required") as err:
+            ScenarioSpec.from_jsonable(data)
+        assert err.value.path == path
+
+
+def test_float_fields_accept_integers():
+    spec = ScenarioSpec.from_jsonable({
+        "name": "a", "library": "mpich", "nranks": 4,
+        "traffic": [{"rate": 1}], "cpu": {"load": 0.5},
+    })
+    assert spec.traffic[0].rate == 1.0
+    assert isinstance(spec.traffic[0].rate, float)
 
 
 def test_bool_is_not_an_integer():
@@ -183,17 +227,78 @@ def test_json_round_trip_lossless():
     assert ScenarioSpec.from_jsonable(data) == FULL
 
 
-def test_toml_round_trip_lossless():
-    assert parse_spec(spec_to_toml(FULL), fmt="toml") == FULL
+def test_wire_form_keeps_fields_the_kind_does_not_use():
+    # Fields another kind would use still round-trip: the wire form
+    # elides defaults, never non-default values.
+    spec = _spec(
+        topology=TopologySpec(kind="crossbar", leaf_size=4),
+        workload=WorkloadSpec(kind="pingpong", iterations=7, cells=8),
+        traffic=(TrafficSpec(kind="constant", on_seconds=0.5),),
+    )
+    wire = spec.to_jsonable()
+    assert wire["topology"] == {"leaf_size": 4}
+    assert wire["workload"] == {"iterations": 7, "cells": 8}
+    assert wire["traffic"] == [{"on_seconds": 0.5}]
+    back = ScenarioSpec.from_jsonable(json.loads(json.dumps(wire)))
+    assert back == spec and back.fingerprint() == spec.fingerprint()
 
 
+def test_wire_form_elides_defaults():
+    assert _spec().to_jsonable() == {"name": "t", "library": "mpich"}
+
+
+#: :data:`FULL` written by hand as TOML.
+FULL_TOML = """
+name = "full"
+library = "mpich"
+config = "ds20_syskonnect_jumbo"
+description = "everything at once"
+nranks = 16
+mtu = 9000
+tuned = true
+seed = 9
+
+[topology]
+kind = "two-tier"
+leaf_size = 4
+uplink_capacity = 2
+uplink_latency = 2e-6
+
+[workload]
+ranks = [0, 15]
+sizes = [64, 1024]
+repeats = 2
+
+[[traffic]]
+kind = "alltoall"
+rate = 0.3
+
+[[traffic]]
+kind = "onoff"
+rate = 0.2
+ranks = [1, 2]
+on_seconds = 0.001
+off_seconds = 0.003
+
+[cpu]
+load = 0.25
+ranks = [0]
+
+[[faults]]
+times = 2
+"""
+
+
+@requires_toml
 def test_load_spec_by_extension(tmp_path):
     toml_path = tmp_path / "s.toml"
-    toml_path.write_text(spec_to_toml(FULL))
+    toml_path.write_text(FULL_TOML)
     json_path = tmp_path / "s.json"
     json_path.write_text(json.dumps(FULL.to_jsonable()))
     assert load_spec(toml_path) == FULL == load_spec(json_path)
 
+
+def test_load_spec_rejects_bad_paths(tmp_path):
     with pytest.raises(SpecError, match="extension"):
         load_spec(tmp_path / "s.yaml")
     with pytest.raises(SpecError, match="cannot read"):
