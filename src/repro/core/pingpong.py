@@ -22,31 +22,7 @@ def measure_pingpong(
     repeats: int = 1,
 ) -> float:
     """One-way time (RTT/2) for ``size``-byte messages, in seconds."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    result: dict[str, float] = {}
-    # Bind the endpoint methods once; the generators below re-enter
-    # these loops for every simulated event, so repeated attribute
-    # lookups on the endpoints are measurable at high repeat counts.
-    a_send, a_recv = a.send, a.recv
-    b_send, b_recv = b.send, b.recv
-
-    def pinger():
-        t0 = engine.now
-        for _ in range(repeats):
-            yield from a_send(size)
-            yield from a_recv(size)
-        result["rtt"] = (engine.now - t0) / repeats
-
-    def ponger():
-        for _ in range(repeats):
-            yield from b_recv(size)
-            yield from b_send(size)
-
-    pa = engine.process(pinger())
-    pb = engine.process(ponger())
-    engine.run(until=engine.all_of([pa, pb]))
-    return result["rtt"] / 2.0
+    return measure_sweep(engine, a, b, [size], repeats)[0][1]
 
 
 def measure_streaming(
@@ -127,10 +103,36 @@ def measure_sweep(
 ) -> list[tuple[int, float]]:
     """Run the full schedule on one warm connection.
 
-    Returns ``[(size, one_way_time_seconds), ...]`` in schedule order.
+    Like NetPIPE, one ping process and one pong process walk the whole
+    schedule; the ping side brackets each size's ``repeats`` round trips
+    on the simulated clock.  Returns ``[(size, one_way_time_seconds),
+    ...]`` in schedule order.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     out: list[tuple[int, float]] = []
     append = out.append
-    for size in sizes:
-        append((size, measure_pingpong(engine, a, b, size, repeats)))
+    # Bind the endpoint methods once; the generators below re-enter
+    # these loops for every simulated event, so repeated attribute
+    # lookups on the endpoints are measurable at high repeat counts.
+    a_send, a_recv = a.send, a.recv
+    b_send, b_recv = b.send, b.recv
+
+    def pinger():
+        for size in sizes:
+            t0 = engine.now
+            for _ in range(repeats):
+                yield from a_send(size)
+                yield from a_recv(size)
+            append((size, (engine.now - t0) / repeats / 2.0))
+
+    def ponger():
+        for size in sizes:
+            for _ in range(repeats):
+                yield from b_recv(size)
+                yield from b_send(size)
+
+    pa = engine.process(pinger())
+    pb = engine.process(ponger())
+    engine.run(until=engine.all_of([pa, pb]))
     return out

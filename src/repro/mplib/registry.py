@@ -4,10 +4,10 @@ Besides the tuned :data:`REGISTRY`, this module enumerates
 :data:`VARIANTS` — every *untuned/alternate* configuration the paper
 measures (daemon routing, heterogeneous conversion, no-RPUT staging,
 recompiled buffers, GM receive modes).  The variants are what make the
-spec universe representative: `repro check`'s ``proto-dead-branch``
-rule evaluates protocol branch conditions against every spec reachable
-from here, so a branch is only "dead" if no shipped configuration —
-tuned or not — can take it.
+spec universe representative: :mod:`repro.verify` explores every
+library reachable from here, and `repro check`'s ``verify-dead-branch``
+rule reports a protocol branch as "dead" only if no shipped
+configuration — tuned or not — can take it.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ def iter_spec_universe() -> Iterator[tuple[str, object]]:
     """Every (name, protocol spec) reachable from the registries.
 
     Yields the ``spec`` dataclass of each tuned and variant library
-    configuration.  This is the ground truth `repro check` evaluates
-    ``proto-dead-branch`` conditions against: a spec-dependent branch
-    that no universe member can take is unreachable protocol code.
+    configuration.  This is the universe `repro check`'s ``verify-*``
+    rules (:mod:`repro.check.rules.verify`) model-check every endpoint
+    against; ``verify-dead-branch`` reports a spec-dependent branch that
+    no universe member can take as unreachable protocol code.
     """
     for name, factory in {**REGISTRY, **VARIANTS}.items():
         lib = factory()

@@ -19,11 +19,10 @@ Timing contract (matches the analytic model exactly):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
-from repro.sim import Engine, Process, Resource, Store
+from repro.sim import Engine, Event, Process, Resource, Store
 from repro.net.base import LinkModel
 
 
@@ -36,7 +35,6 @@ class Message:
     tag: str
     size: int
     meta: dict = field(default_factory=dict)
-    seq: int = 0
     sent_at: float = 0.0
     delivered_at: float = 0.0
 
@@ -105,7 +103,6 @@ class SimChannel:
         # the same node serialise; opposite directions are independent
         # (full duplex).
         self._wire = (Resource(engine, 1), Resource(engine, 1))
-        self._seq = itertools.count()
         self.messages_delivered = 0
         self.messages_dropped = 0
         #: optional wire-fault plan (duck-typed, normally a
@@ -129,7 +126,6 @@ class SimChannel:
             tag=tag,
             size=size,
             meta=dict(meta or {}),
-            seq=next(self._seq),
         )
 
     def _inject(self, msg: Message) -> Generator:
@@ -172,18 +168,26 @@ class SimChannel:
                 msg.meta["corrupted"] = True
                 if obs.enabled:
                     obs.count("net.corrupted")
-        self.engine.process(self._deliver(msg))
+        # Arm the latency timer from a zero-delay kick, not here: events
+        # scheduled at this instant before the kick fires keep their
+        # heap order ahead of it, so ties at the arrival time resolve as
+        # they always have.
+        self.engine.timeout(0.0, msg).callbacks.append(self._fly)
         return msg
 
-    def _deliver(self, msg: Message) -> Generator:
-        obs = self.obs
-        if obs.enabled:
-            t_flight = self.engine.now  # injection done; latency leg begins
-        yield self.engine.timeout(self.link.latency0)
+    def _fly(self, kick: Event) -> None:
+        """Injection done: start the message's latency leg."""
+        msg = kick.value
+        timer = self.engine.timeout(self.link.latency0, (msg, self.engine.now))
+        timer.callbacks.append(self._land)
+
+    def _land(self, timer: Event) -> None:
+        """Latency leg done: the message reaches the peer's inbox."""
+        msg, t_flight = timer.value
         msg.delivered_at = self.engine.now
         self.messages_delivered += 1
-        if obs.enabled:
-            obs.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "net.deliver", cat="wire", t0=t_flight,
                 t1=self.engine.now, track=msg.dst, size=msg.size,
                 tag=msg.tag,

@@ -193,17 +193,16 @@ def _wire(value: Any) -> Any:
     return value
 
 
-def _check_ranks(ranks: tuple[int, ...] | None, nranks: int, path: str,
-                 distinct: bool = True) -> None:
-    """``<path>.ranks`` lie in ``[0, nranks)`` and, when ``distinct``,
-    name no rank twice."""
+def _check_ranks(ranks: tuple[int, ...] | None, nranks: int,
+                 path: str) -> None:
+    """``<path>.ranks`` lie in ``[0, nranks)`` and name no rank twice."""
     if ranks is None:
         return
     for i, rank in enumerate(ranks):
         if not 0 <= rank < nranks:
             raise SpecError(f"{path}.ranks[{i}]",
                             f"rank {rank} out of range for nranks={nranks}")
-    if distinct and len(set(ranks)) != len(ranks):
+    if len(set(ranks)) != len(ranks):
         raise SpecError(f"{path}.ranks", "ranks must be distinct")
 
 
@@ -369,8 +368,7 @@ class CpuSpec:
         if not 0.0 < self.load < 1.0:
             raise SpecError(f"{path}.load",
                             f"must be in (0, 1), got {self.load!r}")
-        # A rank listed twice carries one hog; such specs stay valid.
-        _check_ranks(self.ranks, nranks, path, distinct=False)
+        _check_ranks(self.ranks, nranks, path)
 
     def dilation(self) -> float:
         """The compute-stretch factor ``1 / (1 - load)``."""

@@ -14,7 +14,7 @@ Design constraints that shaped it:
 * **Speed** — a sweep is almost all per-event engine work, so that work
   is kept small: ``Engine.run`` fires events inline, processes resume
   without a closure per resume, and stores match by position.  A cold
-  figure 1-5 pass (44,444 events) takes about 0.19 s of CPU, ~4 us per
+  figure 1-5 pass (29,366 events) takes about 0.09 s of CPU, ~3 us per
   event with the network and library layers included, on a 2-core x86
   host with Python 3.11 (docs/PERFORMANCE.md, "Simulation kernel").
 * **Introspectability** — the engine counts events and exposes ``now`` so

@@ -30,7 +30,8 @@ class Process(Event):
             raise TypeError(
                 f"Engine.process() needs a generator, got {type(generator).__name__}"
             )
-        # Event.__init__ inlined: one Process per message leg.
+        # Event.__init__ inlined: one Process per non-blocking request
+        # and per segment of the packet-level TCP model.
         self.engine = engine
         self.callbacks = []
         self._value = None

@@ -11,14 +11,18 @@ from repro.core import (
     netpipe_sizes,
     run_netpipe,
 )
+from repro.core.pingpong import measure_sweep
 from repro.core.report import ascii_profile
 from repro.core.runner import run_many
 from repro.core.sizes import latency_sizes
 from repro.hw.catalog import NETGEAR_GA620, PENTIUM4_PC
 from repro.hw.cluster import ClusterConfig, TUNED_SYSCTL
-from repro.mplib import MpLite, RawTcp
+from repro.experiments.names import build_config, config_names
+from repro.mplib import Mpich, MpLite, RawTcp
+from repro.mplib.registry import REGISTRY, VARIANTS
+from repro.obs import Recorder
 from repro.sim import Engine
-from repro.units import MB, us
+from repro.units import MB, kb, us
 
 CFG = ClusterConfig(PENTIUM4_PC, NETGEAR_GA620, sysctl=TUNED_SYSCTL)
 
@@ -85,6 +89,82 @@ def test_pingpong_rejects_zero_repeats():
     a, b = lib.build(engine, CFG)
     with pytest.raises(ValueError):
         measure_pingpong(engine, a, b, 10, repeats=0)
+
+
+# -- one ping/pong pair per sweep ------------------------------------------------
+ALL_LIBRARIES = {**REGISTRY, **VARIANTS}
+
+
+def _fresh_pair_per_size(engine, a, b, sizes, repeats):
+    """The oracle: a fresh pinger/ponger pair, an AllOf and an
+    ``engine.run`` for every size, on one warm connection."""
+    out = []
+    for size in sizes:
+        result = {}
+
+        def pinger():
+            t0 = engine.now
+            for _ in range(repeats):
+                yield from a.send(size)
+                yield from a.recv(size)
+            result["rtt"] = (engine.now - t0) / repeats
+
+        def ponger():
+            for _ in range(repeats):
+                yield from b.recv(size)
+                yield from b.send(size)
+
+        pa = engine.process(pinger())
+        pb = engine.process(ponger())
+        engine.run(until=engine.all_of([pa, pb]))
+        out.append((size, result["rtt"] / 2.0))
+    return out
+
+
+def _first_drivable_config(factory):
+    for name in config_names():
+        config = build_config(name)
+        try:
+            factory().build(Engine(), config)
+        except ValueError:
+            continue
+        return config
+    raise AssertionError("no config drives this library")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_LIBRARIES))
+def test_sweep_equals_a_fresh_pair_per_size(name):
+    factory = ALL_LIBRARIES[name]
+    config = _first_drivable_config(factory)
+    sizes = netpipe_sizes()
+    for repeats in (1, 3):
+        oracle_engine = Engine()
+        a, b = factory().build(oracle_engine, config)
+        expected = _fresh_pair_per_size(oracle_engine, a, b, sizes, repeats)
+        engine = Engine()
+        a, b = factory().build(engine, config)
+        got = measure_sweep(engine, a, b, sizes, repeats)
+        # Bit for bit: exact float equality, and the same final clock.
+        assert got == expected, (name, repeats)
+        assert engine.now == oracle_engine.now
+        assert engine.events_processed < oracle_engine.events_processed
+
+
+def test_traced_sweep_runs_two_processes_and_no_delivery_process():
+    rec = Recorder()
+    engine = Engine(obs=rec)
+    a, b = Mpich.tuned().build(engine, CFG)
+    # 64 bytes goes eager (one message per leg); 128 KB takes the
+    # RTS/CTS/data rendezvous (three per leg).
+    measure_sweep(engine, a, b, [64, kb(128)], repeats=2)
+    channel = a.ep.channel
+    assert rec.counters["sim.process.started"] == 2
+    assert rec.counters["sim.process.finished"] == 2
+    delivers = [s for s in rec.spans_by_cat("wire") if s.name == "net.deliver"]
+    assert len(delivers) == channel.messages_delivered == 2 * (2 + 6)
+    assert rec.counters["net.messages"] == channel.messages_delivered
+    for span in delivers:
+        assert span.t1 - span.t0 == pytest.approx(channel.link.latency0)
 
 
 def test_run_netpipe_deterministic():

@@ -29,13 +29,14 @@ def wire_log(library, config, size):
     channel = a.ep.channel if hasattr(a, "ep") else None
     assert channel is not None
 
-    original_deliver = channel._deliver
+    original_fly = channel._fly
 
-    def spying_deliver(msg):
+    def spying_fly(kick):
+        msg = kick.value
         log.append((msg.src, msg.tag, msg.size))
-        return original_deliver(msg)
+        return original_fly(kick)
 
-    channel._deliver = spying_deliver
+    channel._fly = spying_fly
 
     def sender():
         yield from a.send(size)
@@ -106,13 +107,13 @@ def test_ping_pong_alternates_sources():
     a, b = lib.build(engine, GA620)
     log = []
     channel = a.ep.channel
-    original = channel._deliver
+    original = channel._fly
 
-    def spy(msg):
-        log.append(msg.src)
-        return original(msg)
+    def spy(kick):
+        log.append(kick.value.src)
+        return original(kick)
 
-    channel._deliver = spy
+    channel._fly = spy
 
     def ping():
         yield from a.send(100)

