@@ -5,8 +5,7 @@ Two halves:
 * :mod:`repro.analytic.model` — vectorized closed-form one-way-time
   prediction for every shipped library family, built from the same
   HW/protocol specs the event engine consumes
-  (:func:`predict_oneway_times`, :func:`predict_columns`,
-  :func:`predict_sweep`);
+  (:func:`predict_oneway_times`, :func:`predict_sweep`);
 * :mod:`repro.analytic.bands` — per-(library × config) tolerance bands
   minted by running both tiers and pinning their worst disagreement
   (:class:`BandStore`, :func:`measure_band`), which is what
@@ -31,7 +30,6 @@ from repro.analytic.bands import (
 )
 from repro.analytic.model import (
     AnalyticUnsupported,
-    predict_columns,
     predict_oneway_times,
     predict_sweep,
     supports,
@@ -48,7 +46,6 @@ __all__ = [
     "default_band_store",
     "measure_band",
     "mint_bands",
-    "predict_columns",
     "predict_oneway_times",
     "predict_sweep",
     "supports",

@@ -251,37 +251,6 @@ def _default_schedule() -> tuple[tuple[int, ...], np.ndarray]:
     return sizes, n
 
 
-def predict_columns(
-    library: MPLibrary,
-    config: ClusterConfig,
-    sizes: Sequence[int] | None = None,
-    repeats: int = 1,
-    obs=NULL_RECORDER,
-) -> tuple[Sequence[int], list[float]]:
-    """An analytic curve as parallel (sizes, one-way times) columns.
-
-    The columns :func:`predict_sweep` assembles into a result; the
-    executor validates them here, before the points exist.  Arguments
-    and the ``analytic.predict`` span are :func:`predict_sweep`'s.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if sizes is None:
-        # Known valid: skip predict_oneway_times' conversion and checks.
-        int_sizes, n = _default_schedule()
-        times = _predictor(library, config)(n)
-    else:
-        int_sizes = list(map(int, sizes))
-        times = predict_oneway_times(library, config, sizes)
-    if obs.enabled:
-        obs.point(
-            "analytic.predict", cat="analytic",
-            library=library.display_name, points=len(times),
-        )
-    # tolist() yields native floats in one pass.
-    return int_sizes, times.tolist()
-
-
 def predict_sweep(
     library: MPLibrary,
     config: ClusterConfig,
@@ -302,9 +271,23 @@ def predict_sweep(
     ``analytic.predict`` span per batch (the analytic tier's
     observability hook); the default null recorder costs one branch.
     """
-    int_sizes, times = predict_columns(library, config, sizes, repeats, obs)
-    # The bulk constructor keeps result assembly from dominating the
-    # (microsecond-scale) curve evaluation.
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if sizes is None:
+        # Known valid: skip predict_oneway_times' conversion and checks.
+        int_sizes, n = _default_schedule()
+        times = _predictor(library, config)(n)
+    else:
+        int_sizes = list(map(int, sizes))
+        times = predict_oneway_times(library, config, sizes)
+    if obs.enabled:
+        obs.point(
+            "analytic.predict", cat="analytic",
+            library=library.display_name, points=len(times),
+        )
+    # tolist() yields native floats in one pass.  The result keeps the
+    # columns and builds its points on first read: allocating them
+    # would cost several times the curve evaluation.
     return NetPipeResult.from_columns(
-        library.display_name, config.describe(), int_sizes, times
+        library.display_name, config.describe(), int_sizes, times.tolist()
     )

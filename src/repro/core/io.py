@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.core.results import NetPipePoint, NetPipeResult
+from repro.core.results import NetPipeResult
 
 #: Format tag written into every file, checked on load.
 FORMAT = "repro-netpipe-result"
@@ -24,13 +24,15 @@ FORMAT_VERSION = 1
 
 def result_to_dict(result: NetPipeResult) -> dict:
     """JSON-ready representation of one curve."""
+    sizes, times = result.columns()
     return {
         "format": FORMAT,
         "version": FORMAT_VERSION,
         "library": result.library,
         "config": result.config,
         "points": [
-            {"size": p.size, "oneway_time": p.oneway_time} for p in result.points
+            {"size": size, "oneway_time": oneway_time}
+            for size, oneway_time in zip(sizes, times)
         ],
     }
 
@@ -43,12 +45,12 @@ def result_from_dict(data: Mapping) -> NetPipeResult:
         raise ValueError(
             f"unsupported version {data.get('version')} (expected {FORMAT_VERSION})"
         )
-    points = [
-        NetPipePoint(size=int(p["size"]), oneway_time=float(p["oneway_time"]))
-        for p in data["points"]
-    ]
-    return NetPipeResult(
-        library=str(data["library"]), config=str(data["config"]), points=points
+    points = data["points"]
+    return NetPipeResult.from_columns(
+        str(data["library"]),
+        str(data["config"]),
+        [int(p["size"]) for p in points],
+        [float(p["oneway_time"]) for p in points],
     )
 
 

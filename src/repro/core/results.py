@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
+from typing import Sequence
 
 from repro.units import to_mbps, to_us
 
@@ -33,15 +34,41 @@ class NetPipePoint:
         return to_us(self.oneway_time)
 
 
-#: Slot setters for :meth:`NetPipeResult.from_columns` (they bypass the
-#: frozen ``__setattr__`` exactly as the generated ``__init__`` does).
+#: Slot setters for :func:`_bulk_points` (they bypass the frozen
+#: ``__setattr__`` exactly as the generated ``__init__`` does).
 _SET_SIZE = NetPipePoint.size.__set__
 _SET_TIME = NetPipePoint.oneway_time.__set__
 
 
+def _bulk_points(
+    sizes: Sequence[int], oneway_times: Sequence[float]
+) -> list[NetPipePoint]:
+    """Points for parallel columns, built in C-level ``map`` passes.
+
+    :class:`NetPipePoint`'s frozen-dataclass ``__init__`` (two
+    ``object.__setattr__`` dispatches per point) would otherwise be the
+    single largest cost of an analytic sweep.  The points are allocated
+    and their two slots filled through the slot descriptors: the same
+    state a normal construction leaves, so they are equal to (and
+    indistinguishable from) normally constructed ones.
+    """
+    points = list(map(object.__new__, repeat(NetPipePoint, len(sizes))))
+    deque(map(_SET_SIZE, points, sizes), maxlen=0)
+    deque(map(_SET_TIME, points, oneway_times), maxlen=0)
+    return points
+
+
 @dataclass
 class NetPipeResult:
-    """A full NetPIPE curve for one library on one configuration."""
+    """A full NetPIPE curve for one library on one configuration.
+
+    A result built by :meth:`from_columns` holds its (sizes, times)
+    columns and makes its points on the first read of ``.points``:
+    the analytic tier validates and caches whole curves without ever
+    needing the point objects.  The columns stay the record of such a
+    curve (results are never mutated once built).  Equality, ``repr``,
+    canonical form and pickles are those of the materialized points.
+    """
 
     library: str
     config: str
@@ -58,31 +85,51 @@ class NetPipeResult:
         cls,
         library: str,
         config: str,
-        sizes: "list[int]",
-        oneway_times: "list[float]",
+        sizes: Sequence[int],
+        oneway_times: Sequence[float],
     ) -> "NetPipeResult":
         """Bulk-build a result from parallel size/time columns.
 
-        The analytic tier emits whole curves in microseconds, at which
-        point :class:`NetPipePoint`'s frozen-dataclass ``__init__``
-        (two ``object.__setattr__`` dispatches per point) would be the
-        single largest cost of a sweep.  This constructor allocates the
-        points and fills their two slots through the slot descriptors,
-        all in C-level ``map`` passes — the same state a normal
-        construction leaves, so the points are equal to (and
-        indistinguishable from) normally constructed ones.  Columns
-        already in ascending size order (every NetPIPE schedule) skip
-        the sort ``__init__`` would do.
+        Columns already in ascending size order (every NetPIPE schedule)
+        are kept as they are and become points lazily; others are
+        sorted into points now, as ``__init__`` would.
         """
-        n = len(sizes)
-        points = list(map(object.__new__, repeat(NetPipePoint, n)))
-        deque(map(_SET_SIZE, points, sizes), maxlen=0)
-        deque(map(_SET_TIME, points, oneway_times), maxlen=0)
         if sorted(sizes) != list(sizes):
-            return cls(library=library, config=config, points=points)
-        result = cls(library=library, config=config)
-        result.points = points
+            return cls(library=library, config=config,
+                       points=_bulk_points(sizes, oneway_times))
+        result = cls.__new__(cls)
+        result.library = library
+        result.config = config
+        result._columns = (sizes, oneway_times)
         return result
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed: for ``points`` that means a from_columns
+        # result read for the first time.  Two threads may both build
+        # the points; setdefault keeps one list.
+        columns = self.__dict__.get("_columns")
+        if name == "points" and columns is not None:
+            return self.__dict__.setdefault("points", _bulk_points(*columns))
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        # A lazy result pickles as its materialized twin: same bytes.
+        return {"library": self.library, "config": self.config,
+                "points": self.points}
+
+    def columns(self) -> "tuple[Sequence[int], Sequence[float]]":
+        """The curve as parallel (sizes, one-way times) columns.
+
+        Free for a :meth:`from_columns` result, read or not; otherwise
+        one walk over the points.
+        """
+        columns = self.__dict__.get("_columns")
+        if columns is not None:
+            return columns
+        points = self.points
+        return ([p.size for p in points], [p.oneway_time for p in points])
 
     # -- scalar summaries -------------------------------------------------------
     @property

@@ -1,10 +1,13 @@
 """Content-addressed on-disk cache for NetPIPE sweep results.
 
-Entries live at ``<root>/<aa>/<fingerprint>.json`` and are the JSON
+Entries live at ``<root>/<aa>/<fingerprint>.json`` and hold the JSON
 documents :mod:`repro.core.io` writes for baselines, so ordinary tooling
-can inspect them or diff them against a live run.  The semantics are
-:mod:`repro.store`'s; the fingerprint already folds in the code salt,
-so there is no generation directory.
+can inspect them or diff them against a live run.  They are written
+compact (no indent, no spaces): ``json.dumps`` with ``indent`` runs the
+pure-Python encoder, which costs more than computing an analytic curve.
+Reads accept any JSON layout, so indented entries written earlier stay
+hits.  The semantics are :mod:`repro.store`'s; the fingerprint already
+folds in the code salt, so there is no generation directory.
 """
 
 from __future__ import annotations
@@ -44,5 +47,5 @@ class SweepCache(ContentStore):
         return self.read(fingerprint, self._decode)
 
     def put(self, fingerprint: str, result: NetPipeResult) -> Path | None:
-        payload = json.dumps(result_to_dict(result), indent=2)
+        payload = json.dumps(result_to_dict(result), separators=(",", ":"))
         return self.write(fingerprint, payload.encode())

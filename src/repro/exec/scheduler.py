@@ -384,22 +384,10 @@ def _validate_result(request: SweepRequest, result: NetPipeResult) -> str | None
     one point per scheduled size, in schedule order, with positive
     finite times — so a corrupted or truncated worker result is caught
     here instead of being returned to the caller or written into the
-    content-addressed cache.
+    content-addressed cache.  They run over the curve's columns, so an
+    analytic curve is checked before its points exist.
     """
-    points = result.points
-    return _validate_columns(
-        request, [p.size for p in points], [p.oneway_time for p in points]
-    )
-
-
-def _validate_columns(
-    request: SweepRequest, point_sizes: Sequence[int], times: Sequence[float]
-) -> str | None:
-    """:func:`_validate_result` over a curve's (sizes, times) columns.
-
-    The analytic tier checks its columns before the points exist, so it
-    skips the two per-point attribute walks.
-    """
+    point_sizes, times = result.columns()
     sizes = request.sizes if request.sizes is not None else netpipe_sizes()
     if len(point_sizes) != len(sizes):
         return (
@@ -746,24 +734,22 @@ def execute_with_policy(
 
     analytic_pending = [i for i in pending if tiers[i] == "analytic"]
     if analytic_pending:
-        from repro.analytic import predict_columns
+        # Through the package attribute, so a wrapper (a profiler's, a
+        # test's) sees every analytic sweep.
+        import repro.analytic as analytic
 
         obs = report.obs
         for i in analytic_pending:
             request = requests[i]
             t0 = time.perf_counter()
-            sizes, times = predict_columns(
+            result = analytic.predict_sweep(
                 request.library, request.config,
                 sizes=request.sizes, repeats=request.repeats, obs=obs,
             )
-            result = NetPipeResult.from_columns(
-                request.library.display_name, request.config.describe(),
-                sizes, times,
-            )
             elapsed = time.perf_counter() - t0
-            # from_columns sorts out-of-order columns, so the curve holds
-            # the sorted sizes (as a simulated result would).
-            problem = _validate_columns(request, sorted(sizes), times)
+            # The curve's points are built lazily: check its columns
+            # before anything is cached or returned.
+            problem = _validate_result(request, result)
             if problem is not None:
                 report.record_event(
                     request.label, 0, "corrupt-result", problem

@@ -1,15 +1,18 @@
-"""Analytic-tier validation: every figure pair is engine-certified.
+"""Analytic-tier validation: every servable pair is engine-certified.
 
 The closed-form tier may only answer for (library × config) pairs whose
 agreement with the event engine has been measured and pinned as a
 :class:`~repro.analytic.bands.ToleranceBand` in the packaged
-``src/repro/analytic/bands.json``.  This module is that certification:
+``src/repro/analytic/bands.json``.  This module is that certification,
+over the figure 1-5 pairs and every pair ``repro serve`` can be asked
+about in its own vocabulary (:func:`servable_pairs`):
 
-* every pair appearing in figures 1-5 must hold a pinned band under the
-  *current* model code (the band fingerprint folds in the derived code
-  salt, so any timing-model edit un-pins every band), and
+* every such pair must hold a pinned band under the *current* model
+  code (the band fingerprint folds in the derived code salt, so any
+  timing-model edit un-pins every band), and
 * re-measuring each pair — engine as oracle, analytic as candidate —
-  must stay within its pinned tolerance at every schedule size.
+  must stay within its pinned tolerance at every schedule size and at
+  the protocol-boundary sizes.
 
 After an intentional model change, re-pin with:
 
@@ -18,6 +21,8 @@ After an intentional model change, re-pin with:
 and review the bands.json diff alongside the golden-curve diff.  See
 docs/TESTING.md.
 """
+
+from collections import deque
 
 import pytest
 
@@ -61,6 +66,74 @@ def figure_pairs() -> list[tuple[str, object, object]]:
     return pairs
 
 
+def servable_pairs() -> list[tuple[str, object, object]]:
+    """Every (library, config) pair serve's own vocabulary produces.
+
+    The keys are every registry or variant library × every config
+    factory × ``tuned`` None/False/True at the config's default MTU.
+    Each key adds the neighbours speculation warms after answering it
+    (:func:`repro.serve.speculate.neighbor_queries`, default depth), and
+    theirs in turn: a warmed answer speculates too, and its neighbours
+    include pairs no key names (an explicit MTU 1500 is a different
+    config from the factory's default MTU).  A pair the library cannot
+    build (GM on Ethernet, M-VIA on Myrinet) is left out.  Deduplicated
+    by band fingerprint, first name wins.
+    """
+    from repro.experiments.names import config_names
+    from repro.mplib.registry import REGISTRY, VARIANTS
+    from repro.serve.api import BadRequestError, ServeQuery
+    from repro.serve.speculate import neighbor_queries
+    from repro.sim import Engine
+
+    pairs = []
+    seen: set[str] = set()
+    asked: set = set()
+    for library in sorted({**REGISTRY, **VARIANTS}):
+        for config in config_names():
+            queue = deque(
+                ServeQuery(library=library, config=config, tuned=tuned)
+                for tuned in (None, False, True)
+            )
+            while queue:
+                query = queue.popleft()
+                if query in asked:
+                    continue
+                asked.add(query)
+                try:
+                    request = query.resolve()
+                    request.library.build(Engine(), request.config)
+                except (BadRequestError, ValueError):
+                    continue
+                queue.extend(neighbor_queries(query, 3))
+                fp = band_fingerprint(request.library, request.config)
+                if fp not in seen:
+                    seen.add(fp)
+                    pairs.append((_query_name(query), request.library,
+                                  request.config))
+    return pairs
+
+
+def _query_name(query) -> str:
+    tunables = "".join(
+        f" {name}={getattr(query, name)}" for name in ("tuned", "mtu")
+        if getattr(query, name) is not None
+    )
+    return f"{query.library}@{query.config}{tunables}"
+
+
+def certified_pairs() -> list[tuple[str, object, object]]:
+    """The figure pairs, then every further servable pair: what
+    ``--regen`` pins, deduplicated by band fingerprint."""
+    pairs = figure_pairs()
+    seen = {band_fingerprint(lib, cfg) for _, lib, cfg in pairs}
+    for name, lib, cfg in servable_pairs():
+        fp = band_fingerprint(lib, cfg)
+        if fp not in seen:
+            seen.add(fp)
+            pairs.append((name, lib, cfg))
+    return pairs
+
+
 PAIRS = figure_pairs()
 
 
@@ -84,6 +157,43 @@ def test_every_figure_pair_has_a_pinned_band():
         + "\n  ".join(missing)
         + "\n"
         + REGEN_HINT
+    )
+
+
+def test_every_servable_pair_holds_a_band_at_the_floor():
+    # One pass over everything bands.json pins: every certified pair
+    # holds a band at the float-noise floor, re-measured over the
+    # default schedule and the protocol-boundary sizes, and the file
+    # pins nothing else.  Every offender is listed, not just the first.
+    from repro.core.sizes import netpipe_sizes
+    from tests.test_analytic import BOUNDARY_SIZES
+
+    store = default_band_store()
+    sizes = sorted(set(netpipe_sizes()) | set(BOUNDARY_SIZES))
+    offenders = []
+    certified = set()
+    for name, lib, cfg in certified_pairs():
+        certified.add(band_fingerprint(lib, cfg))
+        band = store.lookup(lib, cfg)
+        if band is None:
+            offenders.append(f"{name}: no pinned band")
+            continue
+        if band.rel_tol > TOLERANCE_FLOOR:
+            offenders.append(f"{name}: pinned at {band.rel_tol:.3e}")
+        fresh = measure_band(lib, cfg, sizes=sizes)
+        if fresh.max_rel_err > band.rel_tol:
+            offenders.append(
+                f"{name}: worst relative error {fresh.max_rel_err:.3e} "
+                f"exceeds {band.rel_tol:.3e}"
+            )
+    orphans = sorted(
+        f"{band.library} / {band.config}"
+        for fp, band in store.bands.items() if fp not in certified
+    )
+    offenders.extend(f"{name}: pinned but not certified" for name in orphans)
+    assert not offenders, (
+        "bands.json disagrees with the servable universe:\n  "
+        + "\n  ".join(offenders) + "\n" + REGEN_HINT
     )
 
 
@@ -168,13 +278,17 @@ def test_spec_memos_never_alias_equal_but_distinct_configs():
 
 
 def _regen() -> None:
-    """Re-measure every figure pair and rewrite the packaged bands."""
-    store = mint_bands((lib, cfg) for _, lib, cfg in PAIRS)
+    """Re-measure every certified pair and rewrite the packaged bands."""
+    import time
+
+    t0 = time.perf_counter()
+    store = mint_bands((lib, cfg) for _, lib, cfg in certified_pairs())
     store.save(DEFAULT_BANDS_PATH)
     worst = max(b.max_rel_err for b in store.bands.values())
     print(
         f"pinned {len(store)} bands into {DEFAULT_BANDS_PATH} "
-        f"(worst observed rel err {worst:.3e})"
+        f"({DEFAULT_BANDS_PATH.stat().st_size} bytes, worst observed rel "
+        f"err {worst:.3e}) in {time.perf_counter() - t0:.1f} s"
     )
 
 

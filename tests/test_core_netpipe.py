@@ -271,10 +271,19 @@ def test_from_columns_equals_normal_construction(sizes, times):
 
     from repro.exec.fingerprint import canonicalize
 
-    bulk = NetPipeResult.from_columns("x", "y", sizes, times)
     normal = NetPipeResult(
         "x", "y", [NetPipePoint(s, t) for s, t in zip(sizes, times)]
     )
+    # Before its points are first read, a bulk result already pickles
+    # to the same bytes and has the same canonical form.
+    assert pickle.dumps(NetPipeResult.from_columns("x", "y", sizes, times)) \
+        == pickle.dumps(normal)
+    assert canonicalize(NetPipeResult.from_columns("x", "y", sizes, times)) \
+        == canonicalize(normal)
+    assert NetPipeResult.from_columns("x", "y", sizes, times).columns() == \
+        normal.columns()
+
+    bulk = NetPipeResult.from_columns("x", "y", sizes, times)
     assert bulk == normal
     assert [type(p) for p in bulk.points] == [NetPipePoint] * len(sizes)
     assert canonicalize(bulk) == canonicalize(normal)

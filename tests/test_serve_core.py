@@ -241,9 +241,10 @@ def test_analytic_tier_routes_and_demands(tmp_path):
         response = await core.query(
             ServeQuery(library="mpich", sizes=SIZES, tier="analytic")
         )
+        # An off-ladder MTU: no servable pair, so no band.
         with pytest.raises(BadRequestError, match="analytic"):
             await core.query(
-                ServeQuery(library="mpich-mplite", sizes=SIZES,
+                ServeQuery(library="mpich-mplite", mtu=6000, sizes=SIZES,
                            tier="analytic")
             )
         stats = core.stats()
@@ -386,6 +387,34 @@ def test_speculation_warms_neighbors(tmp_path):
     assert stats["speculation"]["enqueued"] >= 2
     assert stats["speculation"]["warmed"] >= 2
     assert follow_up.source == "hot"
+
+
+def test_cold_key_and_its_neighbors_answer_on_the_analytic_tier(tmp_path):
+    """Every pair serve's vocabulary produces holds a band, so tier=auto
+    answers a cold key and the neighbours speculation warms after it
+    closed-form: nothing is simulated and nothing is demoted."""
+    query = ServeQuery(library="lam", config="pc_syskonnect", tuned=False)
+    neighbors = neighbor_queries(query, depth=3)
+
+    async def run():
+        core = _core(tmp_path, policy=_policy(tier="auto"), speculate=True,
+                     speculate_depth=3)
+        first = await core.query(query)
+        await core.drain_speculation()
+        follow_ups = [await core.query(n) for n in neighbors]
+        stats = core.stats()
+        await core.aclose()
+        return first, follow_ups, stats
+
+    first, follow_ups, stats = asyncio.run(run())
+    assert len(neighbors) == 3
+    assert (first.source, first.tier) == ("computed", "analytic")
+    assert [(r.source, r.tier) for r in follow_ups] == (
+        [("hot", "analytic")] * 3)
+    # Warmed answers speculate in turn, so more than four may compute.
+    assert stats["exec"]["analytic"] >= 4
+    assert stats["exec"]["simulated"] == 0
+    assert stats["exec"]["tier_fallbacks"] == 0
 
 
 # -- hot LRU unit behaviour --------------------------------------------------

@@ -187,8 +187,9 @@ def test_hot_answers_do_no_resolving_or_canonicalizing(monkeypatch):
 
 @pytest.mark.parametrize("data, match", [
     ({"library": "openmpi", "sizes": list(SIZES)}, "unknown library"),
-    ({"library": "mpich-mplite", "sizes": list(SIZES), "tier": "analytic"},
-     "analytic"),
+    # An off-ladder MTU is outside the certified universe: no band.
+    ({"library": "mpich-mplite", "mtu": 6000, "sizes": list(SIZES),
+      "tier": "analytic"}, "analytic"),
     ({"library": "mpich", "sizes": list(SIZES), "tier": "warp"}, "tier"),
 ])
 def test_failures_raise_every_time_and_are_never_remembered(data, match):
@@ -208,7 +209,9 @@ def test_failures_raise_every_time_and_are_never_remembered(data, match):
 def test_auto_demotion_counts_once_per_request_hot_or_not():
     """serve.tier.fallback counts every demoted request, including the
     ones answered from a remembered route and the hot tier."""
-    query = ServeQuery(library="mpich-mplite", sizes=SIZES, tier="auto")
+    # An off-ladder MTU is outside the certified universe: no band.
+    query = ServeQuery(library="mpich-mplite", mtu=6000, sizes=SIZES,
+                       tier="auto")
 
     async def run():
         core = ServeCore(policy=_policy())

@@ -243,7 +243,7 @@ def test_entry_bytes_match_the_established_encodings(tmp_path):
 
     sweep = SweepCache(tmp_path / "s").put(KEY, _CURVE)
     assert sweep.read_bytes() == json.dumps(
-        result_to_dict(_CURVE), indent=2).encode()
+        result_to_dict(_CURVE), separators=(",", ":")).encode()
     verdict = {"library": "mpich", "ok": True}
     path = VerdictCache(tmp_path / "v").put(KEY, verdict)
     assert path.read_bytes() == b'{"library":"mpich","ok":true}'
@@ -252,6 +252,36 @@ def test_entry_bytes_match_the_established_encodings(tmp_path):
     path = ScenarioStore(tmp_path / "c").put(KEY, scenario)
     assert path.read_bytes() == (json.dumps(
         scenario.to_jsonable(), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_indented_sweep_entries_still_hit(tmp_path):
+    """Sweep entries written indented (as releases before the compact
+    encoding did) decode to the same curve."""
+    from repro.core.io import result_to_dict
+
+    store = SweepCache(tmp_path)
+    path = store.path_for(KEY)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(result_to_dict(_CURVE), indent=2))
+    assert store.get(KEY) == _CURVE
+    assert store.hits == 1 and store.misses == 0
+
+
+@pytest.mark.parametrize("points", [
+    [{"size": 1}],                          # a point without its time
+    [{"size": "one", "oneway_time": 1.0}],  # a size that is no number
+    {"size": 1, "oneway_time": 1.0},        # points not a list
+    17,
+])
+def test_wrong_shape_sweep_points_are_a_miss(tmp_path, points):
+    from repro.core.io import result_to_dict
+
+    store = SweepCache(tmp_path)
+    path = store.path_for(KEY)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({**result_to_dict(_CURVE), "points": points}))
+    assert store.get(KEY) is None
+    assert store.corrupt == 1 and store.misses == 1 and store.hits == 0
 
 
 def test_ast_and_summary_entries_share_one_generation(tmp_path):
